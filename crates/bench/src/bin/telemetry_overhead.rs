@@ -67,7 +67,7 @@ fn gate(who: &str, off: Duration, on: Duration, assert_pct: Option<f64>) {
     }
 }
 
-fn median(walls: &mut Vec<Duration>) -> Duration {
+fn median(walls: &mut [Duration]) -> Duration {
     walls.sort();
     walls[walls.len() / 2]
 }

@@ -1,8 +1,14 @@
-//! The CEK-style abstract machine.
+//! The CEK-style abstract machine, run on one value stack.
 //!
-//! Tail calls consume no continuation space, so Scheme loops run in constant
-//! control stack. Environments are per-activation frame chains behind `Rc`
-//! (reclaimed when dead); pairs, vectors, closures, and strings live in
+//! Closures are flat (§3.5): a closure copies its free variables when it is
+//! created, so no environment frame outlives its activation. A frame is
+//! therefore a run of stack slots — a procedure's arguments, or a `let`'s
+//! evaluated right-hand sides left where they were pushed — named by a small
+//! frame record; the pending operands of calls, primitives and `let`s sit
+//! above it. A continuation records the stack heights it keeps alive, and
+//! returning to it cuts the stacks back to them. Entering a procedure moves
+//! its arguments down to the top continuation's height, so tail calls run
+//! in constant stack. Pairs, vectors, closures, and strings live in
 //! append-only heaps whose allocation volume feeds the simulated collector
 //! cost (see [`crate::CostModel`]).
 
@@ -12,7 +18,6 @@ use crate::value::{ClosId, PairId, StrId, Value, VecId};
 use fdi_lang::{Const, Label, Program, Sym};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
 
 /// Run configuration.
 #[derive(Debug, Clone, Copy)]
@@ -98,6 +103,16 @@ pub fn run_with_checks(
     m.run()
 }
 
+/// [`run`] under the default configuration, also reporting the value
+/// stack's capacity at the end: an upper bound on its high-water mark.
+#[cfg(test)]
+pub(crate) fn run_measuring_stack(program: &Program) -> Result<(Outcome, usize), VmError> {
+    let resolved = resolve(program);
+    let mut m = Machine::new(program, &resolved, &RunConfig::default());
+    let outcome = m.run()?;
+    Ok((outcome, m.stack_capacity))
+}
+
 /// One call site's dynamic execution totals, as gathered by [`run_profiled`].
 ///
 /// `cost` is the mutator cost the machine charged to calls entered from this
@@ -143,91 +158,76 @@ pub fn run_profiled(
     Ok((outcome, sites))
 }
 
-#[derive(Clone)]
-pub(crate) struct Env(Option<Rc<Frame>>);
+/// Parent of an activation's outermost frame.
+const NO_FRAME: u32 = u32::MAX;
 
-pub(crate) struct Frame {
-    values: Box<[Cell<Value>]>,
-    parent: Env,
+/// An environment frame: stack slots from `base` on.
+struct Frame {
+    base: u32,
+    /// The enclosing frame within the same activation, or [`NO_FRAME`].
+    parent: u32,
 }
 
-impl Env {
-    const EMPTY: Env = Env(None);
+/// A compound expression waiting for the value of one of its parts.
+struct Kont {
+    /// The expression; its [`Code`] says what to do with the value.
+    label: Label,
+    /// How far its evaluation has got (the next part to evaluate).
+    next: u32,
+    /// Frame-stack height it keeps alive; its frame is the top one.
+    fp: u32,
+    /// Value-stack height it keeps alive: its frames and operands so far.
+    sp: u32,
+    clo: Option<ClosId>,
+}
 
-    fn push(&self, values: Vec<Value>) -> Env {
-        Env(Some(Rc::new(Frame {
-            values: values.into_iter().map(Cell::new).collect(),
-            parent: self.clone(),
-        })))
+/// What the machine does next: evaluate the expression at a label, or
+/// return a value to the top continuation.
+type Control = Result<Label, Value>;
+
+/// The stacks and closure register of one run.
+struct Regs {
+    /// Frame slots and pending operands.
+    stack: Vec<Value>,
+    /// Frame records; the current environment is the last one.
+    frames: Vec<Frame>,
+    kont: Vec<Kont>,
+    /// The running closure (`None` at top level).
+    clo: Option<ClosId>,
+}
+
+impl Regs {
+    fn push_kont(&mut self, label: Label, next: usize) {
+        self.kont.push(Kont {
+            label,
+            next: next as u32,
+            fp: self.frames.len() as u32,
+            sp: self.stack.len() as u32,
+            clo: self.clo,
+        });
     }
 
-    fn get(&self, depth: u16, slot: u16) -> Value {
-        let mut frame = self.0.as_ref().expect("env deep enough");
-        for _ in 0..depth {
-            frame = frame.parent.0.as_ref().expect("env deep enough");
-        }
-        frame.values[slot as usize].get()
+    /// Cuts the stacks back to what `k` keeps alive and reinstates its
+    /// closure.
+    fn restore(&mut self, k: &Kont) {
+        self.stack.truncate(k.sp as usize);
+        self.frames.truncate(k.fp as usize);
+        self.clo = k.clo;
     }
 
-    fn set(&self, depth: u16, slot: u16, v: Value) {
-        let mut frame = self.0.as_ref().expect("env deep enough");
-        for _ in 0..depth {
-            frame = frame.parent.0.as_ref().expect("env deep enough");
-        }
-        frame.values[slot as usize].set(v);
+    /// Makes the slots from `base` to the top a frame inside the current one.
+    fn push_frame(&mut self, base: usize) {
+        let parent = self.frames.len() as u32 - 1;
+        self.frames.push(Frame {
+            base: base as u32,
+            parent,
+        });
     }
 }
 
 pub(crate) struct ClosureData {
     pub(crate) lambda: Label,
     pub(crate) captures: Box<[Cell<Value>]>,
-}
-
-enum Kont {
-    Call {
-        label: Label,
-        next: usize,
-        vals: Vec<Value>,
-        env: Env,
-        clo: Option<ClosId>,
-    },
-    Prim {
-        label: Label,
-        next: usize,
-        vals: Vec<Value>,
-        env: Env,
-        clo: Option<ClosId>,
-    },
-    ApplyFun {
-        label: Label,
-        env: Env,
-        clo: Option<ClosId>,
-    },
-    ApplyArg {
-        label: Label,
-        f: Value,
-    },
-    Begin {
-        label: Label,
-        next: usize,
-        env: Env,
-        clo: Option<ClosId>,
-    },
-    If {
-        label: Label,
-        env: Env,
-        clo: Option<ClosId>,
-    },
-    Let {
-        label: Label,
-        next: usize,
-        vals: Vec<Value>,
-        env: Env,
-        clo: Option<ClosId>,
-    },
-    ClRefK {
-        index: u32,
-    },
 }
 
 pub(crate) struct Machine<'p> {
@@ -248,6 +248,9 @@ pub(crate) struct Machine<'p> {
     /// Per-call-site `(calls, cost)` attribution; `Some` only under
     /// [`run_profiled`].
     sites: Option<HashMap<Label, (u64, u64)>>,
+    /// Value-stack capacity at the end of a successful run.
+    #[cfg(test)]
+    stack_capacity: usize,
 }
 
 impl<'p> Machine<'p> {
@@ -268,6 +271,8 @@ impl<'p> Machine<'p> {
             output: String::new(),
             max_output: config.max_output,
             sites: None,
+            #[cfg(test)]
+            stack_capacity: 0,
         }
     }
 
@@ -300,13 +305,10 @@ impl<'p> Machine<'p> {
         Value::Str(StrId((self.strings.len() - 1) as u32))
     }
 
-    fn alloc_closure(&mut self, lambda: Label, captures: Vec<Value>) -> Value {
+    fn alloc_closure(&mut self, lambda: Label, captures: Box<[Cell<Value>]>) -> Value {
         self.counters.words_allocated += self.model.closure_base_words + captures.len() as u64;
         self.counters.closures_made += 1;
-        self.closures.push(ClosureData {
-            lambda,
-            captures: captures.into_iter().map(Cell::new).collect(),
-        });
+        self.closures.push(ClosureData { lambda, captures });
         Value::Closure(ClosId((self.closures.len() - 1) as u32))
     }
 
@@ -341,368 +343,254 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn capture_values(&self, plan: &[VarRef], env: &Env, clo: Option<ClosId>) -> Vec<Value> {
-        plan.iter()
-            .map(|&vr| match vr {
-                VarRef::Env { depth, slot } => env.get(depth, slot),
-                VarRef::Capture(i) => {
-                    let c = clo.expect("capture read outside closure");
-                    self.closures[c.0 as usize].captures[i as usize].get()
+    #[inline(always)]
+    fn lookup(&self, vr: VarRef, r: &Regs) -> Value {
+        match vr {
+            VarRef::Env { depth, slot } => {
+                let mut f = r.frames.len() - 1;
+                for _ in 0..depth {
+                    f = r.frames[f].parent as usize;
                 }
-            })
+                r.stack[r.frames[f].base as usize + slot as usize]
+            }
+            VarRef::Capture(i) => {
+                let c = r.clo.expect("capture read outside closure");
+                self.closures[c.0 as usize].captures[i as usize].get()
+            }
+        }
+    }
+
+    fn capture_values(&self, plan: &[VarRef], r: &Regs) -> Box<[Cell<Value>]> {
+        plan.iter()
+            .map(|&vr| Cell::new(self.lookup(vr, r)))
             .collect()
     }
 
     // --- the driver loop ----------------------------------------------------
 
     pub(crate) fn run(&mut self) -> Result<Outcome, VmError> {
-        let mut kont: Vec<Kont> = Vec::new();
-        let mut env = Env::EMPTY;
-        let mut clo: Option<ClosId> = None;
-        let mut control: Result<Label, Value> = Ok(self.res.root());
+        let mut r = Regs {
+            stack: Vec::new(),
+            frames: vec![Frame {
+                base: 0,
+                parent: NO_FRAME,
+            }],
+            kont: Vec::new(),
+            clo: None,
+        };
+        let mut control: Control = Ok(self.res.root());
         loop {
             if self.fuel == 0 {
                 return self.error("out of fuel");
             }
             self.fuel -= 1;
             self.counters.steps += 1;
-            match control {
-                Ok(label) => {
-                    // Evaluate the expression at `label`.
-                    match self.res.code(label) {
-                        Code::Const(c) => control = Err(self.value_of_const(*c)),
-                        Code::Var(vr) => {
-                            let v = match *vr {
-                                VarRef::Env { depth, slot } => env.get(depth, slot),
-                                VarRef::Capture(i) => {
-                                    let c = clo.expect("capture read outside closure");
-                                    self.closures[c.0 as usize].captures[i as usize].get()
-                                }
-                            };
-                            control = Err(v);
-                        }
-                        Code::Prim(_, args) => {
-                            if args.is_empty() {
-                                let v = self.apply_prim(label, &[])?;
-                                control = Err(v);
-                            } else {
-                                let first = args[0];
-                                kont.push(Kont::Prim {
-                                    label,
-                                    next: 1,
-                                    vals: Vec::with_capacity(args.len()),
-                                    env: env.clone(),
-                                    clo,
-                                });
-                                control = Ok(first);
-                            }
-                        }
-                        Code::Call(parts) => {
-                            let first = parts[0];
-                            kont.push(Kont::Call {
-                                label,
-                                next: 1,
-                                vals: Vec::with_capacity(parts.len()),
-                                env: env.clone(),
-                                clo,
-                            });
-                            control = Ok(first);
-                        }
-                        Code::Apply(f, _) => {
-                            kont.push(Kont::ApplyFun {
-                                label,
-                                env: env.clone(),
-                                clo,
-                            });
-                            control = Ok(*f);
-                        }
-                        Code::Begin(parts) => {
-                            if parts.len() == 1 {
-                                control = Ok(parts[0]);
-                            } else {
-                                let first = parts[0];
-                                kont.push(Kont::Begin {
-                                    label,
-                                    next: 1,
-                                    env: env.clone(),
-                                    clo,
-                                });
-                                control = Ok(first);
-                            }
-                        }
-                        Code::If(c, _, _) => {
-                            kont.push(Kont::If {
-                                label,
-                                env: env.clone(),
-                                clo,
-                            });
-                            control = Ok(*c);
-                        }
-                        Code::Let(rhs, body) => {
-                            if rhs.is_empty() {
-                                env = env.push(Vec::new());
-                                control = Ok(*body);
-                            } else {
-                                let first = rhs[0];
-                                kont.push(Kont::Let {
-                                    label,
-                                    next: 1,
-                                    vals: Vec::with_capacity(rhs.len()),
-                                    env: env.clone(),
-                                    clo,
-                                });
-                                control = Ok(first);
-                            }
-                        }
-                        Code::Letrec(lambdas, body) => {
-                            self.counters.mutator +=
-                                self.model.let_per_binding * lambdas.len() as u64;
-                            let n = lambdas.len();
-                            env = env.push(vec![Value::Unspec; n]);
-                            // First pass: create closures (sibling captures
-                            // may still read Unspec).
-                            let mut made = Vec::with_capacity(n);
-                            for (i, &f) in lambdas.iter().enumerate() {
-                                let lc = self.lambda_code(f);
-                                let caps = self.capture_values(&lc.capture_plan, &env, clo);
-                                let v = self.alloc_closure(f, caps);
-                                env.set(0, i as u16, v);
-                                made.push((f, v));
-                            }
-                            // Second pass: backpatch captures now that every
-                            // sibling closure exists.
-                            for &(f, v) in &made {
-                                let lc = self.lambda_code(f);
-                                let caps = self.capture_values(&lc.capture_plan, &env, clo);
-                                let Value::Closure(cid) = v else {
-                                    unreachable!()
-                                };
-                                for (cell, nv) in
-                                    self.closures[cid.0 as usize].captures.iter().zip(caps)
-                                {
-                                    cell.set(nv);
-                                }
-                            }
-                            control = Ok(*body);
-                        }
-                        Code::Lambda(lc) => {
-                            let caps = self.capture_values(&lc.capture_plan, &env, clo);
-                            let v = self.alloc_closure(label, caps);
-                            control = Err(v);
-                        }
-                        Code::ClRef(e, n) => {
-                            kont.push(Kont::ClRefK { index: *n });
-                            control = Ok(*e);
-                        }
-                        Code::Dead => panic!("evaluating dead code at {label}"),
-                    }
-                }
+            control = match control {
+                Ok(label) => self.eval(label, &mut r)?,
                 Err(value) => {
-                    // Return `value` to the top continuation frame.
-                    let Some(frame) = kont.pop() else {
+                    let Some(k) = r.kont.pop() else {
+                        #[cfg(test)]
+                        {
+                            self.stack_capacity = r.stack.capacity();
+                        }
                         return Ok(Outcome {
                             value: self.render(value, true),
                             counters: self.counters,
                             output: std::mem::take(&mut self.output),
                         });
                     };
-                    match frame {
-                        Kont::Call {
-                            label,
-                            next,
-                            mut vals,
-                            env: senv,
-                            clo: sclo,
-                        } => {
-                            vals.push(value);
-                            let Code::Call(parts) = self.res.code(label) else {
-                                unreachable!()
-                            };
-                            if next < parts.len() {
-                                let e = parts[next];
-                                env = senv.clone();
-                                clo = sclo;
-                                kont.push(Kont::Call {
-                                    label,
-                                    next: next + 1,
-                                    vals,
-                                    env: senv,
-                                    clo: sclo,
-                                });
-                                control = Ok(e);
-                            } else {
-                                let f = vals[0];
-                                let args = &vals[1..];
-                                let (nenv, nclo, body) = self.enter(label, f, args, 0)?;
-                                env = nenv;
-                                clo = Some(nclo);
-                                control = Ok(body);
-                            }
-                        }
-                        Kont::Prim {
-                            label,
-                            next,
-                            mut vals,
-                            env: senv,
-                            clo: sclo,
-                        } => {
-                            vals.push(value);
-                            let Code::Prim(_, args) = self.res.code(label) else {
-                                unreachable!()
-                            };
-                            if next < args.len() {
-                                let e = args[next];
-                                env = senv.clone();
-                                clo = sclo;
-                                kont.push(Kont::Prim {
-                                    label,
-                                    next: next + 1,
-                                    vals,
-                                    env: senv,
-                                    clo: sclo,
-                                });
-                                control = Ok(e);
-                            } else {
-                                let v = self.apply_prim(label, &vals)?;
-                                control = Err(v);
-                            }
-                        }
-                        Kont::ApplyFun {
-                            label,
-                            env: senv,
-                            clo: sclo,
-                        } => {
-                            let Code::Apply(_, arg) = self.res.code(label) else {
-                                unreachable!()
-                            };
-                            let e = *arg;
-                            env = senv;
-                            clo = sclo;
-                            kont.push(Kont::ApplyArg { label, f: value });
-                            control = Ok(e);
-                        }
-                        Kont::ApplyArg { label, f } => {
-                            let args = self.list_to_vec(value)?;
-                            let spread = self.model.apply_per_elem * args.len() as u64;
-                            let (nenv, nclo, body) = self.enter(label, f, &args, spread)?;
-                            env = nenv;
-                            clo = Some(nclo);
-                            control = Ok(body);
-                        }
-                        Kont::Begin {
-                            label,
-                            next,
-                            env: senv,
-                            clo: sclo,
-                        } => {
-                            let Code::Begin(parts) = self.res.code(label) else {
-                                unreachable!()
-                            };
-                            env = senv.clone();
-                            clo = sclo;
-                            if next == parts.len() - 1 {
-                                control = Ok(parts[next]);
-                            } else {
-                                let e = parts[next];
-                                kont.push(Kont::Begin {
-                                    label,
-                                    next: next + 1,
-                                    env: senv,
-                                    clo: sclo,
-                                });
-                                control = Ok(e);
-                            }
-                        }
-                        Kont::If {
-                            label,
-                            env: senv,
-                            clo: sclo,
-                        } => {
-                            self.counters.mutator += self.model.if_cost;
-                            let Code::If(_, t, e) = self.res.code(label) else {
-                                unreachable!()
-                            };
-                            env = senv;
-                            clo = sclo;
-                            control = Ok(if value.is_truthy() { *t } else { *e });
-                        }
-                        Kont::Let {
-                            label,
-                            next,
-                            mut vals,
-                            env: senv,
-                            clo: sclo,
-                        } => {
-                            vals.push(value);
-                            let Code::Let(rhs, body) = self.res.code(label) else {
-                                unreachable!()
-                            };
-                            if next < rhs.len() {
-                                let e = rhs[next];
-                                env = senv.clone();
-                                clo = sclo;
-                                kont.push(Kont::Let {
-                                    label,
-                                    next: next + 1,
-                                    vals,
-                                    env: senv,
-                                    clo: sclo,
-                                });
-                                control = Ok(e);
-                            } else {
-                                self.counters.mutator +=
-                                    self.model.let_per_binding * vals.len() as u64;
-                                let body = *body;
-                                env = senv.push(vals);
-                                clo = sclo;
-                                control = Ok(body);
-                            }
-                        }
-                        Kont::ClRefK { index } => {
-                            self.counters.mutator += self.model.cl_ref_cost;
-                            let Value::Closure(cid) = value else {
-                                return self.error(format!(
-                                    "cl-ref: expected procedure, got {}",
-                                    value.type_name()
-                                ));
-                            };
-                            let caps = &self.closures[cid.0 as usize].captures;
-                            let Some(cell) = caps.get(index as usize) else {
-                                return self.error("cl-ref: index out of range");
-                            };
-                            control = Err(cell.get());
-                        }
-                    }
+                    r.restore(&k);
+                    self.resume(&k, value, &mut r)?
                 }
-            }
+            };
         }
     }
 
-    /// Performs a procedure call: arity check, rest-list collection, cost
-    /// accounting (attributed to the call expression at `site` when
-    /// profiling). Returns the callee's activation.
+    /// One step evaluating the expression at `label`.
+    fn eval(&mut self, label: Label, r: &mut Regs) -> Result<Control, VmError> {
+        Ok(match self.res.code(label) {
+            Code::Const(c) => Err(self.value_of_const(*c)),
+            Code::Var(vr) => Err(self.lookup(*vr, r)),
+            Code::Prim(_, ops) | Code::Call(ops) | Code::Let(ops, _) => {
+                return self.operands(label, ops, 0, r)
+            }
+            Code::Apply(f, _) => {
+                r.push_kont(label, 1);
+                Ok(*f)
+            }
+            Code::Begin(parts) => {
+                if parts.len() > 1 {
+                    r.push_kont(label, 1);
+                }
+                Ok(parts[0])
+            }
+            Code::If(c, _, _) => {
+                r.push_kont(label, 0);
+                Ok(*c)
+            }
+            Code::Letrec(lambdas, body) => {
+                self.counters.mutator += self.model.let_per_binding * lambdas.len() as u64;
+                // Allocate every closure record, then fill the captures in
+                // place: each may capture any sibling through the frame.
+                let base = r.stack.len();
+                for &f in lambdas {
+                    let slots = self.lambda_code(f).capture_plan.len();
+                    let caps = (0..slots).map(|_| Cell::new(Value::Unspec)).collect();
+                    let v = self.alloc_closure(f, caps);
+                    r.stack.push(v);
+                }
+                r.push_frame(base);
+                for (&f, &v) in lambdas.iter().zip(&r.stack[base..]) {
+                    let Value::Closure(cid) = v else {
+                        unreachable!()
+                    };
+                    let plan = &self.lambda_code(f).capture_plan;
+                    for (cell, &vr) in self.closures[cid.0 as usize].captures.iter().zip(plan) {
+                        cell.set(self.lookup(vr, r));
+                    }
+                }
+                Ok(*body)
+            }
+            Code::Lambda(lc) => {
+                let caps = self.capture_values(&lc.capture_plan, r);
+                Err(self.alloc_closure(label, caps))
+            }
+            Code::ClRef(e, _) => {
+                r.push_kont(label, 0);
+                Ok(*e)
+            }
+            Code::Dead => panic!("evaluating dead code at {label}"),
+        })
+    }
+
+    /// One step returning `value` to the continuation `k`, whose stacks are
+    /// already restored.
+    fn resume(&mut self, k: &Kont, value: Value, r: &mut Regs) -> Result<Control, VmError> {
+        let next = k.next as usize;
+        Ok(match self.res.code(k.label) {
+            Code::Prim(_, ops) | Code::Call(ops) | Code::Let(ops, _) => {
+                r.stack.push(value);
+                return self.operands(k.label, ops, next, r);
+            }
+            Code::Apply(_, arg) if next == 1 => {
+                // Keep the procedure on the stack while the list evaluates.
+                r.stack.push(value);
+                r.push_kont(k.label, 2);
+                Ok(*arg)
+            }
+            Code::Apply(..) => {
+                let f = r.stack[k.sp as usize - 1];
+                let argc = self.spread(value, &mut r.stack)?;
+                let spread = self.model.apply_per_elem * argc as u64;
+                Ok(self.enter(k.label, f, argc, spread, r)?)
+            }
+            Code::Begin(parts) => {
+                if next + 1 < parts.len() {
+                    r.push_kont(k.label, next + 1);
+                }
+                Ok(parts[next])
+            }
+            Code::If(_, t, e) => {
+                self.counters.mutator += self.model.if_cost;
+                Ok(if value.is_truthy() { *t } else { *e })
+            }
+            Code::ClRef(_, index) => {
+                self.counters.mutator += self.model.cl_ref_cost;
+                let Value::Closure(cid) = value else {
+                    return self.error(format!(
+                        "cl-ref: expected procedure, got {}",
+                        value.type_name()
+                    ));
+                };
+                let caps = &self.closures[cid.0 as usize].captures;
+                let Some(cell) = caps.get(*index as usize) else {
+                    return self.error("cl-ref: index out of range");
+                };
+                Err(cell.get())
+            }
+            other => unreachable!("no continuation at {other:?}"),
+        })
+    }
+
+    /// Pushes the values of `ops[next..]` — the operands of the `Call`,
+    /// `Prim` or `Let` at `label` — then performs it on them. A compound
+    /// operand suspends the evaluation on it.
+    #[inline(always)]
+    fn operands(
+        &mut self,
+        label: Label,
+        ops: &[Label],
+        mut next: usize,
+        r: &mut Regs,
+    ) -> Result<Control, VmError> {
+        while let Some(&e) = ops.get(next) {
+            next += 1;
+            match self.atom(e, r) {
+                Some(v) => r.stack.push(v),
+                None => {
+                    r.push_kont(label, next);
+                    return Ok(Ok(e));
+                }
+            }
+        }
+        let base = r.stack.len() - ops.len();
+        match self.res.code(label) {
+            Code::Prim(..) => Ok(Err(self.apply_prim(label, &r.stack[base..])?)),
+            Code::Call(_) => Ok(Ok(self.enter(label, r.stack[base], ops.len() - 1, 0, r)?)),
+            Code::Let(_, body) => {
+                self.counters.mutator += self.model.let_per_binding * ops.len() as u64;
+                r.push_frame(base);
+                Ok(Ok(*body))
+            }
+            other => unreachable!("no operands at {other:?}"),
+        }
+    }
+
+    /// The value of `e` when it is a constant or a variable, charged the two
+    /// steps the loop would take to evaluate it and return it. `None` for
+    /// other expressions, and when less than two steps of fuel remain (so
+    /// out-of-fuel fires at the same step as without this shortcut).
+    #[inline(always)]
+    fn atom(&mut self, e: Label, r: &Regs) -> Option<Value> {
+        if self.fuel < 2 {
+            return None;
+        }
+        let v = match self.res.code(e) {
+            Code::Const(c) => self.value_of_const(*c),
+            Code::Var(vr) => self.lookup(*vr, r),
+            _ => return None,
+        };
+        self.fuel -= 2;
+        self.counters.steps += 2;
+        Some(v)
+    }
+
+    /// Performs a procedure call on the top `argc` stack values: arity
+    /// check, rest-list collection, cost accounting (attributed to the call
+    /// expression at `site` when profiling). Moves the callee's frame down
+    /// to the top continuation's stack height and returns its body.
     fn enter(
         &mut self,
         site: Label,
         f: Value,
-        args: &[Value],
+        argc: usize,
         extra_cost: u64,
-    ) -> Result<(Env, ClosId, Label), VmError> {
+        r: &mut Regs,
+    ) -> Result<Label, VmError> {
         let Value::Closure(cid) = f else {
             return self.error(format!("call: expected procedure, got {}", f.type_name()));
         };
         let lambda = self.closures[cid.0 as usize].lambda;
         let lc = self.lambda_code(lambda);
-        if args.len() < lc.params || (!lc.rest && args.len() != lc.params) {
+        if argc < lc.params || (!lc.rest && argc != lc.params) {
             return self.error(format!(
                 "call: procedure expects {}{} arguments, got {}",
                 lc.params,
                 if lc.rest { "+" } else { "" },
-                args.len()
+                argc
             ));
         }
-        let cost =
-            self.model.call_overhead + self.model.call_per_arg * args.len() as u64 + extra_cost;
+        let cost = self.model.call_overhead + self.model.call_per_arg * argc as u64 + extra_cost;
         self.counters.calls += 1;
         self.counters.mutator += cost;
         if let Some(sites) = self.sites.as_mut() {
@@ -710,15 +598,29 @@ impl<'p> Machine<'p> {
             entry.0 += 1;
             entry.1 += cost;
         }
-        let mut frame: Vec<Value> = args[..lc.params].to_vec();
+        let args = r.stack.len() - argc;
         if lc.rest {
             let mut rest = Value::Nil;
-            for &v in args[lc.params..].iter().rev() {
-                rest = self.alloc_pair(v, rest);
+            for i in (args + lc.params..r.stack.len()).rev() {
+                rest = self.alloc_pair(r.stack[i], rest);
             }
-            frame.push(rest);
+            r.stack.truncate(args + lc.params);
+            r.stack.push(rest);
         }
-        Ok((Env::EMPTY.push(frame), cid, lc.body))
+        let (sp, fp) = r
+            .kont
+            .last()
+            .map_or((0, 0), |k| (k.sp as usize, k.fp as usize));
+        let len = r.stack.len() - args;
+        r.stack.copy_within(args.., sp);
+        r.stack.truncate(sp + len);
+        r.frames.truncate(fp);
+        r.frames.push(Frame {
+            base: sp as u32,
+            parent: NO_FRAME,
+        });
+        r.clo = Some(cid);
+        Ok(lc.body)
     }
 
     /// The primitive operator at a `Prim` code label.
@@ -729,16 +631,17 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Spreads a list value into a vector (for `apply`).
-    pub(crate) fn list_to_vec(&self, mut v: Value) -> Result<Vec<Value>, VmError> {
-        let mut out = Vec::new();
+    /// Pushes the elements of the list `v` (for `apply`); returns how many.
+    fn spread(&self, mut v: Value, stack: &mut Vec<Value>) -> Result<usize, VmError> {
+        let mut n = 0;
         loop {
             match v {
-                Value::Nil => return Ok(out),
+                Value::Nil => return Ok(n),
                 Value::Pair(p) => {
                     let (car, cdr) = &self.pairs[p.0 as usize];
-                    out.push(car.get());
+                    stack.push(car.get());
                     v = cdr.get();
+                    n += 1;
                 }
                 other => {
                     return self.error(format!(
@@ -747,7 +650,7 @@ impl<'p> Machine<'p> {
                     ))
                 }
             }
-            if out.len() > 1_000_000 {
+            if n > 1_000_000 {
                 return self.error("apply: argument list too long (or cyclic)");
             }
         }

@@ -1,6 +1,7 @@
 //! Additional machine-level tests: closure representation, environment
 //! behaviour, primitive edge cases, and check accounting.
 
+use crate::machine::run_measuring_stack;
 use crate::{run, run_with_checks, CostModel, RunConfig};
 use fdi_lang::parse_and_lower;
 use std::collections::HashSet;
@@ -54,11 +55,62 @@ fn closures_capture_values_not_locations() {
 
 #[test]
 fn deep_non_tail_recursion_uses_heap_continuations() {
-    // 100k non-tail frames: fine on the machine's Vec continuation.
+    // 100k non-tail frames: fine on the machine's Vec stacks, which grow
+    // with the recursion (each pending `+` keeps its frame and operand).
     let src = "
         (define (sum n) (if (zero? n) 0 (+ n (sum (- n 1)))))
         (sum 100000)";
-    assert_eq!(eval(src), "5000050000");
+    let (out, stack) = run_measuring_stack(&parse_and_lower(src).unwrap()).unwrap();
+    assert_eq!(out.value, "5000050000");
+    assert!(stack >= 100_000, "stack capacity {stack}");
+}
+
+/// Value-stack capacity a million-iteration tail loop may reach.
+const LOOP_STACK_BOUND: usize = 64;
+
+fn assert_bounded_stack(src: &str, expected: &str) {
+    let (out, stack) = run_measuring_stack(&parse_and_lower(src).unwrap()).unwrap();
+    assert_eq!(out.value, expected);
+    assert!(
+        stack <= LOOP_STACK_BOUND,
+        "stack capacity {stack} after 1M tail calls"
+    );
+}
+
+#[test]
+fn tail_loop_binding_lets_runs_in_bounded_stack() {
+    assert_bounded_stack(
+        "(letrec ((loop (lambda (n acc)
+                          (if (zero? n)
+                              acc
+                              (let ((m (- n 1)) (a (+ acc 2)))
+                                (let ((b (- a 1)))
+                                  (loop m b)))))))
+           (loop 1000000 0))",
+        "1000000",
+    );
+}
+
+#[test]
+fn tail_loop_through_apply_with_rest_list_runs_in_bounded_stack() {
+    assert_bounded_stack(
+        "(letrec ((loop (lambda (n . acc)
+                          (if (zero? n)
+                              (car acc)
+                              (apply loop (list (- n 1) (+ (car acc) 1)))))))
+           (loop 1000000 0))",
+        "1000000",
+    );
+}
+
+#[test]
+fn letrec_mutual_recursion_runs_in_bounded_stack() {
+    assert_bounded_stack(
+        "(letrec ((ev? (lambda (n) (if (zero? n) #t (od? (- n 1)))))
+                  (od? (lambda (n) (if (zero? n) #f (ev? (- n 1))))))
+           (ev? 1000001))",
+        "#f",
+    );
 }
 
 #[test]
