@@ -28,7 +28,7 @@
 //! budget. Spending the budget on measured-hot sites instead of
 //! syntactically-early ones is the whole point of the profile.
 
-use fdi_core::{optimize_guided, PipelineConfig, PipelineOutput, RunConfig, Telemetry};
+use fdi_core::{optimize, run, PipelineConfig, PipelineOutput, Request, RunConfig};
 use fdi_profile::Profile;
 use fdi_telemetry::{DecisionReason, DecisionTotals};
 use fdi_testutil::timed;
@@ -104,7 +104,6 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.5);
 
-    let telemetry = Telemetry::off();
     let run_config = RunConfig::default();
     let mut rows = Vec::new();
     let mut wins = 0usize;
@@ -126,7 +125,7 @@ fn main() {
             std::process::exit(1);
         });
         let base = PipelineConfig::default();
-        let unbudgeted = optimize_guided(&src, &base, None, &telemetry).unwrap_or_else(|e| {
+        let unbudgeted = optimize(&src, &base).unwrap_or_else(|e| {
             eprintln!("bench_snapshot: {}: {e}", b.name);
             std::process::exit(1);
         });
@@ -135,14 +134,16 @@ fn main() {
 
         let mut capped = base;
         capped.size_budget = Some(budget);
-        let (static_out, static_wall) =
-            timed(|| optimize_guided(&src, &capped, None, &telemetry).unwrap());
+        let (static_out, static_wall) = timed(|| optimize(&src, &capped).unwrap());
 
         let mut guided_cfg = capped;
         guided_cfg.profile_fp = Some(profile.fingerprint());
         let guide = profile.guide();
-        let (guided_out, guided_wall) =
-            timed(|| optimize_guided(&src, &guided_cfg, Some(&guide), &telemetry).unwrap());
+        let guided = Request {
+            guide: Some(&guide),
+            ..Request::source(&src, guided_cfg)
+        };
+        let (guided_out, guided_wall) = timed(|| run(&guided).unwrap());
 
         let st = measure(
             &static_out,

@@ -27,7 +27,7 @@
 //! so that timer noise on loaded CI hosts cannot fail a suite whose entire
 //! wall clock is a few dozen milliseconds.
 
-use fdi_core::{optimize_instrumented, PipelineConfig, Telemetry};
+use fdi_core::{run, PipelineConfig, Request, Telemetry};
 use fdi_engine::{Engine, EngineConfig, Job};
 use fdi_telemetry::{Fanout, FlightRecorder, MetricsRegistry, RingSink};
 use fdi_testutil::timed;
@@ -45,7 +45,11 @@ fn optimize_suite(
     sources
         .iter()
         .map(|src| {
-            let out = optimize_instrumented(src, config, telemetry).expect("suite optimizes");
+            let request = Request {
+                telemetry: telemetry.clone(),
+                ..Request::source(src, *config)
+            };
+            let out = run(&request).expect("suite optimizes");
             fdi_sexpr::pretty(&fdi_lang::unparse(&out.optimized))
         })
         .collect()

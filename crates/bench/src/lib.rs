@@ -17,8 +17,8 @@
 
 use fdi_benchsuite::{Benchmark, BENCHMARKS};
 use fdi_core::{
-    analyze_contained, optimize_program_with_analysis, PipelineConfig, PipelineError, Polyvariance,
-    RunConfig, SweepRow,
+    analyze_contained, run, Input, PipelineConfig, PipelineError, Polyvariance, Request, RunConfig,
+    SweepRow,
 };
 use fdi_engine::{Engine, Job};
 use std::sync::Arc;
@@ -65,7 +65,14 @@ pub fn table1_row(b: &Benchmark, scale: u32) -> Result<Table1Row, PipelineError>
             threshold: t,
             ..config
         };
-        let out = optimize_program_with_analysis(&program, &cfg, analysis.as_ref());
+        let input = Input::Program {
+            program: &program,
+            analysis: Some(analysis.as_ref()),
+        };
+        let out = run(&Request {
+            input,
+            ..Request::program(&program, cfg)
+        })?;
         analysis_secs = out.flow_stats.duration.as_secs_f64();
         ratios.push(out.size_ratio());
         if out.health.degraded() {

@@ -1,25 +1,12 @@
-//! The flow analysis packaged for `fdi-core`'s unified pass manager.
+//! The flow analysis's identity in `fdi-core`'s pass schedules.
 
-use crate::{
-    analyze_instrumented, analyze_with_limits, AnalysisLimits, FlowAnalysis, Polyvariance,
-};
-use fdi_lang::Program;
-use fdi_telemetry::Telemetry;
-
-/// The analysis as a schedulable pass: a plain struct carrying the contour
-/// policy and safety limits. The `Pass` trait itself lives in `fdi-core`,
-/// which implements it over this type.
-///
-/// The manager threads its budget deadline into `limits.deadline` before
-/// constructing the pass, so the solver respects the shared wall clock
-/// mid-phase exactly as the hard-coded chain did.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalyzePass {
-    /// Contour policy of the analysis.
-    pub policy: Polyvariance,
-    /// Safety limits (deadline included, if any).
-    pub limits: AnalysisLimits,
-}
+/// The analysis as a schedulable pass: its stable name and the
+/// behaviour-version salt folded into schedule fingerprints (and so into
+/// every cache and store key of a run that analyzes). The pass manager calls
+/// [`analyze_instrumented`](crate::analyze_instrumented) directly, with its
+/// budget deadline threaded into the limits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AnalyzePass;
 
 impl AnalyzePass {
     /// Stable pass name; also resolves the fault-injection point and the
@@ -27,35 +14,4 @@ impl AnalyzePass {
     pub const NAME: &'static str = "analyze";
     /// Schedule-fingerprint salt for this pass's behaviour version.
     pub const SALT: u64 = 0xcfa0_0001;
-
-    /// One application of the pass: exactly [`analyze_with_limits`]. An
-    /// aborted analysis is an `Ok` value carrying aborted stats; the
-    /// manager turns it into a degradation.
-    pub fn apply(&self, program: &Program) -> FlowAnalysis {
-        analyze_with_limits(program, self.policy, self.limits)
-    }
-
-    /// One application with convergence telemetry: exactly
-    /// [`analyze_instrumented`].
-    pub fn apply_instrumented(&self, program: &Program, telemetry: &Telemetry) -> FlowAnalysis {
-        analyze_instrumented(program, self.policy, self.limits, telemetry)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pass_matches_direct_analysis() {
-        let p = fdi_lang::parse_and_lower("(define (sq x) (* x x)) (sq 7)").unwrap();
-        let pass = AnalyzePass {
-            policy: Polyvariance::PolymorphicSplitting,
-            limits: AnalysisLimits::default(),
-        };
-        let a = pass.apply(&p);
-        let b = analyze_with_limits(&p, pass.policy, pass.limits);
-        assert_eq!(a.stats().nodes, b.stats().nodes);
-        assert_eq!(a.stats().steps, b.stats().steps);
-    }
 }

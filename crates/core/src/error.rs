@@ -3,8 +3,8 @@
 //! Every way a pipeline run can fail is a [`PipelineError`] variant tagged
 //! with the [`Phase`] that failed. The degrading entry points
 //! ([`crate::optimize`], [`crate::sweep`]) convert these into
-//! [`crate::PipelineHealth`] records instead of propagating them; the strict
-//! entry points ([`crate::optimize_strict`]) return them directly.
+//! [`crate::PipelineHealth`] records instead of propagating them;
+//! [`crate::PipelineOutput::into_strict`] returns the first one directly.
 
 use fdi_cfa::AbortReason;
 use std::fmt;

@@ -6,9 +6,13 @@
 //! 2. **inlining** ([`fdi_inline`]) driven by the analysis;
 //! 3. **local simplification** ([`fdi_simplify`]), purely syntactic.
 //!
-//! [`optimize`] runs the whole pipeline; [`sweep`] reruns it across inline
-//! thresholds and measures code size and execution cost on the [`fdi_vm`]
-//! substrate — the data behind Table 1 and Fig. 6.
+//! [`run`] executes one [`Request`]: the input (source text, or a lowered
+//! program with an optional precomputed analysis), the configuration, and
+//! the out-of-band guide, telemetry, and acceleration state. [`optimize`]
+//! and [`optimize_program`] are its shorthands for the defaults. [`sweep`]
+//! reruns the pipeline across inline thresholds and measures code size and
+//! execution cost on the [`fdi_vm`] substrate — the data behind Table 1 and
+//! Fig. 6.
 //!
 //! # Fault isolation
 //!
@@ -18,9 +22,8 @@
 //! under panic containment with a shared [`Budget`] (wall-clock deadline,
 //! cross-phase fuel, size-growth cap) and a post-phase validation
 //! checkpoint, and on any failure the pipeline keeps the last validated
-//! program and records what happened in [`PipelineOutput::health`]. The
-//! `_strict` variants ([`optimize_strict`], [`optimize_program_strict`],
-//! [`sweep_strict`]) preserve the original error-propagating contract,
+//! program and records what happened in [`PipelineOutput::health`].
+//! [`PipelineOutput::into_strict`] restores the error-propagating contract,
 //! returning the first failure as a typed [`PipelineError`].
 //!
 //! # Examples
@@ -53,17 +56,13 @@ pub use faults::{
     fired_counts, jittered_backoff, FaultAction, FaultPlan, FaultPoint, ALL_FAULT_POINTS,
     CHAOS_SEED,
 };
-pub use fdi_cfa::{
-    AbortReason, AnalysisLimits, AnalysisStats, AnalyzePass, FlowAnalysis, Polyvariance,
-};
+pub use fdi_cfa::{AbortReason, AnalysisLimits, AnalysisStats, FlowAnalysis, Polyvariance};
 pub use fdi_inline::{
-    CacheLedger, InlineConfig, InlineGuide, InlineMode, InlinePass, InlineReport, SpecCacheStats,
+    CacheLedger, InlineConfig, InlineGuide, InlineMode, InlineReport, SpecCacheStats,
     SpecializationCache, UnboundedLedger,
 };
-pub use fdi_lang::{
-    ExpandPass, FrontendError, LowerPass, ParsePass, Program, UnparsePass, ValidatePass,
-};
-pub use fdi_simplify::{SimplifyPass, SimplifyStats};
+pub use fdi_lang::{FrontendError, Program};
+pub use fdi_simplify::SimplifyStats;
 pub use fdi_telemetry::{
     DecisionReason, DecisionRecord, DecisionTotals, Telemetry, Verdict, REASON_KEYS,
 };
@@ -73,8 +72,7 @@ pub use oracle::{
     compare_observations, observe, validate_equivalence, Observation, OracleConfig, OracleVerdict,
 };
 pub use passes::{
-    Pass, PassCx, PassDisposition, PassId, PassOutcome, PassTrace, Schedule, ScheduleError,
-    ScheduleStep, MAX_SCHEDULE_STEPS,
+    PassDisposition, PassId, PassTrace, Schedule, ScheduleError, ScheduleStep, MAX_SCHEDULE_STEPS,
 };
 pub use runner::{Budget, Degradation, Fallback, PipelineHealth};
 
@@ -132,35 +130,29 @@ impl PipelineConfig {
             profile_fp: None,
         }
     }
+
+    /// True when a run under this configuration is a function of its input
+    /// alone, so its artifacts (a parse, an analysis, a stored output) may
+    /// be shared with other runs. A wall-clock deadline, on the budget or
+    /// on the analysis limits, anchors the run to its own clock. An enabled
+    /// fault plan fires injections private to the run. Either rules sharing
+    /// out.
+    pub fn shares_artifacts(&self) -> bool {
+        self.budget.deadline.is_none() && self.limits.deadline.is_none() && !self.faults.enabled()
+    }
+
+    /// May a run under this configuration take an analysis precomputed by
+    /// [`analyze_contained`] through [`Input::Program`]? Its artifacts must
+    /// be sharable, and its schedule must open with the analysis: a
+    /// rewrite before it would invalidate the shared result.
+    pub fn reuses_analysis(&self) -> bool {
+        self.shares_artifacts() && self.schedule.starts_with_analyze()
+    }
 }
 
 impl Default for PipelineConfig {
     fn default() -> PipelineConfig {
         PipelineConfig::with_threshold(200)
-    }
-}
-
-/// Shared acceleration state for a pipeline run, orthogonal to
-/// [`PipelineConfig`] — nothing here may change the run's output, only how
-/// fast it is produced, so none of it enters any fingerprint.
-#[derive(Clone, Copy, Default)]
-pub struct PipelineRuntime<'a> {
-    /// Memo table for the inliner's outermost specializations, shared across
-    /// runs and threads (the engine shares one across all its jobs). The
-    /// content salt is derived per run from the input program and the
-    /// analysis/inliner configuration.
-    pub spec_cache: Option<&'a SpecializationCache>,
-    /// Parallel inlining units for the root letrec (0 or 1 = sequential).
-    pub inline_units: usize,
-}
-
-impl PipelineRuntime<'_> {
-    /// No cache, no parallelism — the historical behaviour.
-    pub fn sequential() -> PipelineRuntime<'static> {
-        PipelineRuntime {
-            spec_cache: None,
-            inline_units: 1,
-        }
     }
 }
 
@@ -196,8 +188,8 @@ pub struct PipelineOutput {
     /// Which phases degraded and why (empty on a fully healthy run).
     pub health: PipelineHealth,
     /// Per-pass execution traces, in run order: the manager-owned baseline
-    /// stage first, then one entry per schedule step. Entry points that
-    /// parse ([`optimize`]) prepend a `"frontend"` trace.
+    /// stage first, then one entry per schedule step. A run over
+    /// [`Input::Source`] prepends a `"frontend"` trace.
     pub passes: Vec<PassTrace>,
     /// Total fuel charged to the [`Budget`] across all passes; always equals
     /// the sum of [`PassTrace::fuel`] over [`PipelineOutput::passes`].
@@ -214,58 +206,177 @@ impl PipelineOutput {
     pub fn analysis_time(&self) -> Duration {
         self.flow_stats.duration
     }
+
+    /// The strict, error-propagating contract: the first recorded phase
+    /// failure as a typed error instead of a degraded output.
+    ///
+    /// # Errors
+    ///
+    /// Returns the typed [`PipelineError`] of the first failing phase.
+    pub fn into_strict(self) -> Result<PipelineOutput, PipelineError> {
+        match self.health.first_error() {
+            Some(e) => Err(e.clone()),
+            None => Ok(self),
+        }
+    }
 }
 
-/// The fault-isolated engine behind every entry point.
-///
-/// Runs baseline simplification, analysis, inlining, and simplification in
-/// order; each phase is admitted by the budget, executed under panic
-/// containment, and its output validated. Any failure rolls the run back to
-/// the last validated program and is recorded in the returned health ledger,
-/// so this function is total: given a lowered program it always produces a
-/// semantically equivalent output.
-fn run_pipeline(program: &Program, config: &PipelineConfig) -> PipelineOutput {
-    run_pipeline_with(program, config, None, &Telemetry::off(), None)
+/// What a pipeline run starts from.
+#[derive(Debug, Clone, Copy)]
+pub enum Input<'a> {
+    /// Source text. The run parses, expands, and lowers it first, inside a
+    /// `pipeline` telemetry span, and traces the front end as a
+    /// `"frontend"` pass ahead of the transform passes.
+    Source(&'a str),
+    /// An already-lowered program (prelude included).
+    Program {
+        /// The program to optimize.
+        program: &'a Program,
+        /// The cache seam for the analysis phase. `None` computes the
+        /// analysis in-process. `Some(Ok(flow))` substitutes an analysis
+        /// computed elsewhere by [`analyze_contained`] — possibly on another
+        /// thread, shared through the engine's content-addressed cache.
+        /// `Some(Err(e))` replays a contained analysis failure, degrading
+        /// the run to its baseline just as an in-process failure would.
+        ///
+        /// The budget still gates the analysis phase and is still charged
+        /// the analysis's worklist steps, so a precomputed analysis draws
+        /// the same fuel as a computed one. Supply one only when
+        /// [`PipelineConfig::reuses_analysis`] holds.
+        analysis: Option<Result<&'a FlowAnalysis, &'a PipelineError>>,
+    },
 }
 
-fn run_pipeline_runtime(
-    program: &Program,
-    config: &PipelineConfig,
-    shared: Option<Result<&FlowAnalysis, &PipelineError>>,
-    telemetry: &Telemetry,
-    guide: Option<&InlineGuide>,
-    runtime: PipelineRuntime<'_>,
-) -> PipelineOutput {
-    passes::run_schedule(program, config, shared, telemetry, guide, runtime)
+/// One pipeline run: its input, its configuration, and the out-of-band
+/// state that travels beside the configuration.
+///
+/// [`Request::source`] and [`Request::program`] fill in the defaults (no
+/// guide, telemetry off, no specialization cache, sequential inlining);
+/// override fields with struct-update syntax. The input, the config, and
+/// the guide determine the output; the guide's identity enters the cache
+/// key through [`PipelineConfig::profile_fp`]. The telemetry handle, the
+/// specialization cache, and the inlining units never change the output
+/// and never enter any fingerprint.
+///
+/// # Examples
+///
+/// ```
+/// use fdi_core::{run, PipelineConfig, Request, SpecializationCache};
+///
+/// let cache = SpecializationCache::unbounded();
+/// let request = Request {
+///     spec_cache: Some(&cache),
+///     inline_units: 4,
+///     ..Request::source("(define (sq x) (* x x)) (sq 7)", PipelineConfig::with_threshold(200))
+/// };
+/// let out = run(&request).unwrap();
+/// assert_eq!(out.report.sites_inlined, 1);
+/// assert_eq!(out.passes[0].pass, "frontend");
+/// ```
+#[derive(Debug, Clone)]
+pub struct Request<'a> {
+    /// What the run starts from.
+    pub input: Input<'a>,
+    /// The run's configuration.
+    pub config: PipelineConfig,
+    /// Benefit guide for the size budget: when supplied and
+    /// [`PipelineConfig::size_budget`] is set, the inliner allocates the
+    /// budget over candidate sites hot-first instead of in syntactic order.
+    /// A run with a guide must set [`PipelineConfig::profile_fp`].
+    pub guide: Option<&'a InlineGuide>,
+    /// The stream the frontend, every scheduled pass, the analysis solver,
+    /// and the inliner's decision provenance emit into. The disabled
+    /// handle costs one branch per emission site and changes no output.
+    pub telemetry: Telemetry,
+    /// Memo table for the inliner's outermost specializations, shared
+    /// across runs and threads. The content salt is derived per run from
+    /// the input program and the analysis and inliner configuration.
+    /// Output-transparent.
+    pub spec_cache: Option<&'a SpecializationCache>,
+    /// Parallel inlining units for the root letrec (0 or 1 = sequential).
+    /// Output-transparent.
+    pub inline_units: usize,
 }
 
-/// [`run_pipeline`], optionally reusing a pre-computed flow analysis.
+impl<'a> Request<'a> {
+    /// A run over source text, with the defaults.
+    pub fn source(src: &'a str, config: PipelineConfig) -> Request<'a> {
+        Request::new(Input::Source(src), config)
+    }
+
+    /// A run over a lowered program that computes its own analysis, with
+    /// the defaults.
+    pub fn program(program: &'a Program, config: PipelineConfig) -> Request<'a> {
+        Request::new(
+            Input::Program {
+                program,
+                analysis: None,
+            },
+            config,
+        )
+    }
+
+    fn new(input: Input<'a>, config: PipelineConfig) -> Request<'a> {
+        Request {
+            input,
+            config,
+            guide: None,
+            telemetry: Telemetry::off(),
+            spec_cache: None,
+            inline_units: 1,
+        }
+    }
+}
+
+/// Runs the pipeline: front end (for source input), then the baseline
+/// stage and [`PipelineConfig::schedule`] under the pass manager.
 ///
-/// `shared` is the cache seam: `None` computes the analysis in-process
-/// (exactly the historical behaviour); `Some(Ok(flow))` substitutes a flow
-/// analysis computed elsewhere — by [`analyze_contained`], possibly on
-/// another thread and shared through the engine's content-addressed cache —
-/// and `Some(Err(e))` replays a contained analysis failure, degrading this
-/// run to its baseline just as an in-process failure would.
+/// Every phase is admitted by the budget, executed under panic
+/// containment, and its output validated. A phase that panics, trips its
+/// safety limits, exhausts the [`Budget`], or produces an invalid program
+/// does not fail the run: the pipeline falls back to the last validated
+/// program and records the event in [`PipelineOutput::health`]. Use
+/// [`PipelineOutput::into_strict`] for the error-propagating contract.
 ///
-/// The budget still gates the analysis phase and is still charged the
-/// analysis's worklist steps, so a cached analysis draws the same fuel as a
-/// computed one.
-fn run_pipeline_with(
-    program: &Program,
-    config: &PipelineConfig,
-    shared: Option<Result<&FlowAnalysis, &PipelineError>>,
-    telemetry: &Telemetry,
-    guide: Option<&InlineGuide>,
-) -> PipelineOutput {
-    run_pipeline_runtime(
-        program,
-        config,
-        shared,
-        telemetry,
-        guide,
-        PipelineRuntime::sequential(),
-    )
+/// # Errors
+///
+/// Only source input can fail: [`PipelineError::Frontend`] when the reader,
+/// expander, or lowerer rejects it — with no program, there is nothing to
+/// degrade to. Under an enabled fault plan, an injected frontend failure
+/// surfaces the same way, as [`PipelineError::FaultInjected`] or
+/// [`PipelineError::PhasePanicked`].
+pub fn run(request: &Request<'_>) -> Result<PipelineOutput, PipelineError> {
+    let src = match request.input {
+        Input::Program { program, analysis } => {
+            return Ok(passes::run_schedule(program, analysis, request));
+        }
+        Input::Source(src) => src,
+    };
+    let telemetry = &request.telemetry;
+    let _pipeline = telemetry.span("pipeline", "pipeline");
+    let start = Instant::now();
+    let program = {
+        let _span = telemetry.span("frontend", "pass");
+        frontend(src, &request.config)?
+    };
+    let wall = start.elapsed();
+    let mut out = passes::run_schedule(&program, None, request);
+    // The frontend runs before the pass manager exists; splice its trace in
+    // front so `--trace` shows the whole run. It charges no fuel (the budget
+    // only meters the transform pipeline).
+    out.passes.insert(
+        0,
+        PassTrace {
+            pass: "frontend",
+            wall,
+            fuel: 0,
+            size_before: 0,
+            size_after: program.size(),
+            runs: 1,
+            disposition: PassDisposition::Completed,
+        },
+    );
+    Ok(out)
 }
 
 /// The front end (reader → expander → lowerer), staged so the Parse,
@@ -285,191 +396,29 @@ fn frontend(src: &str, config: &PipelineConfig) -> Result<Program, PipelineError
     .and_then(|r| r)
 }
 
-/// Parses, lowers, analyzes, inlines, and simplifies `src`, degrading on
-/// phase failures.
-///
-/// A phase that panics, trips its safety limits, exhausts the
-/// [`Budget`], or produces an invalid program does not fail the run: the
-/// pipeline falls back to the last validated program and records the event
-/// in [`PipelineOutput::health`]. Use [`optimize_strict`] for the
-/// error-propagating contract.
+/// Optimizes source text under `config`: [`run`] over
+/// [`Request::source`].
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError::Frontend`] when the reader, expander, or lowerer
-/// rejects `src` — with no program, there is nothing to degrade to. Under an
-/// enabled fault plan, an injected frontend failure surfaces the same way,
-/// as [`PipelineError::FaultInjected`] or [`PipelineError::PhasePanicked`].
+/// Exactly [`run`]'s contract.
 pub fn optimize(src: &str, config: &PipelineConfig) -> Result<PipelineOutput, PipelineError> {
-    optimize_instrumented(src, config, &Telemetry::off())
+    run(&Request::source(src, *config))
 }
 
-/// [`optimize`] with a live telemetry stream: the frontend, every scheduled
-/// pass, the analysis solver, and the inliner's decision provenance emit
-/// spans and events into `telemetry`'s collector. With the disabled handle
-/// this is exactly [`optimize`] — same output, one branch per emission site.
+/// Optimizes a lowered program under `config`: [`run`] over
+/// [`Request::program`].
 ///
 /// # Errors
 ///
-/// Exactly [`optimize`]'s contract.
-pub fn optimize_instrumented(
-    src: &str,
-    config: &PipelineConfig,
-    telemetry: &Telemetry,
-) -> Result<PipelineOutput, PipelineError> {
-    optimize_guided(src, config, None, telemetry)
-}
-
-/// [`optimize_instrumented`] with an optional profile guide: when `guide` is
-/// supplied and [`PipelineConfig::size_budget`] is set, the inliner allocates
-/// the size budget over candidate sites hot-first (benefit-ordered) instead
-/// of in syntactic order. With `guide: None` this is exactly
-/// [`optimize_instrumented`]. Callers are responsible for the cache-key half
-/// of the contract: a run with a guide must set
-/// [`PipelineConfig::profile_fp`].
-///
-/// # Errors
-///
-/// Exactly [`optimize`]'s contract.
-pub fn optimize_guided(
-    src: &str,
-    config: &PipelineConfig,
-    guide: Option<&InlineGuide>,
-    telemetry: &Telemetry,
-) -> Result<PipelineOutput, PipelineError> {
-    optimize_runtime(src, config, guide, telemetry, PipelineRuntime::sequential())
-}
-
-/// [`optimize_guided`] under an explicit [`PipelineRuntime`] (shared
-/// specialization cache, parallel inlining units). The runtime is
-/// output-transparent: for any runtime value this produces exactly
-/// [`optimize_guided`]'s bytes.
-///
-/// # Errors
-///
-/// Exactly [`optimize`]'s contract.
-pub fn optimize_runtime(
-    src: &str,
-    config: &PipelineConfig,
-    guide: Option<&InlineGuide>,
-    telemetry: &Telemetry,
-    runtime: PipelineRuntime<'_>,
-) -> Result<PipelineOutput, PipelineError> {
-    let _pipeline = telemetry.span("pipeline", "pipeline");
-    let start = Instant::now();
-    let program = {
-        let _span = telemetry.span("frontend", "pass");
-        frontend(src, config)?
-    };
-    let wall = start.elapsed();
-    let mut out = run_pipeline_runtime(&program, config, None, telemetry, guide, runtime);
-    // The frontend runs before the pass manager exists; splice its trace in
-    // front so `--trace` shows the whole run. It charges no fuel (the budget
-    // only meters the transform pipeline).
-    out.passes.insert(
-        0,
-        PassTrace {
-            pass: "frontend",
-            wall,
-            fuel: 0,
-            size_before: 0,
-            size_after: program.size(),
-            runs: 1,
-            disposition: PassDisposition::Completed,
-        },
-    );
-    Ok(out)
-}
-
-/// [`optimize`] for an already-lowered program.
-///
-/// # Errors
-///
-/// Never fails today: every phase failure degrades into
-/// [`PipelineOutput::health`]. The `Result` keeps the signature uniform with
-/// the strict variant.
+/// Never fails: every phase failure degrades into
+/// [`PipelineOutput::health`]. The `Result` keeps the signature uniform
+/// with [`optimize`].
 pub fn optimize_program(
     program: &Program,
     config: &PipelineConfig,
 ) -> Result<PipelineOutput, PipelineError> {
-    Ok(run_pipeline(program, config))
-}
-
-/// [`optimize_program`] with a live telemetry stream (see
-/// [`optimize_instrumented`]).
-///
-/// # Errors
-///
-/// Never fails today; the `Result` keeps the signature uniform.
-pub fn optimize_program_instrumented(
-    program: &Program,
-    config: &PipelineConfig,
-    telemetry: &Telemetry,
-) -> Result<PipelineOutput, PipelineError> {
-    Ok(run_pipeline_with(program, config, None, telemetry, None))
-}
-
-/// [`optimize_program_instrumented`] with an optional profile guide (see
-/// [`optimize_guided`]).
-///
-/// # Errors
-///
-/// Never fails today; the `Result` keeps the signature uniform.
-pub fn optimize_program_guided(
-    program: &Program,
-    config: &PipelineConfig,
-    guide: Option<&InlineGuide>,
-    telemetry: &Telemetry,
-) -> Result<PipelineOutput, PipelineError> {
-    Ok(run_pipeline_with(program, config, None, telemetry, guide))
-}
-
-/// [`optimize_program_guided`] under an explicit [`PipelineRuntime`] (see
-/// [`optimize_runtime`]).
-///
-/// # Errors
-///
-/// Never fails today; the `Result` keeps the signature uniform.
-pub fn optimize_program_runtime(
-    program: &Program,
-    config: &PipelineConfig,
-    guide: Option<&InlineGuide>,
-    telemetry: &Telemetry,
-    runtime: PipelineRuntime<'_>,
-) -> Result<PipelineOutput, PipelineError> {
-    Ok(run_pipeline_runtime(
-        program, config, None, telemetry, guide, runtime,
-    ))
-}
-
-/// [`optimize`] with the strict, error-propagating contract: the first
-/// phase failure is returned as a typed error instead of degrading.
-///
-/// # Errors
-///
-/// Returns the typed [`PipelineError`] of the first failing phase.
-pub fn optimize_strict(
-    src: &str,
-    config: &PipelineConfig,
-) -> Result<PipelineOutput, PipelineError> {
-    let program = frontend(src, config)?;
-    optimize_program_strict(&program, config)
-}
-
-/// [`optimize_program`] with the strict, error-propagating contract.
-///
-/// # Errors
-///
-/// Returns the typed [`PipelineError`] of the first failing phase.
-pub fn optimize_program_strict(
-    program: &Program,
-    config: &PipelineConfig,
-) -> Result<PipelineOutput, PipelineError> {
-    let out = run_pipeline(program, config);
-    match out.health.first_error() {
-        Some(e) => Err(e.clone()),
-        None => Ok(out),
-    }
+    run(&Request::program(program, *config))
 }
 
 /// Runs the front end alone (reader → expander → lowerer), under panic
@@ -495,12 +444,12 @@ pub fn parse_contained(src: &str) -> Result<Program, PipelineError> {
 /// threshold-independent, so one call serves every transform-side
 /// configuration over the same program (key it by
 /// [`PipelineConfig::analysis_fingerprint`]). An aborted analysis is an
-/// `Ok` carrying aborted stats — [`optimize_program_with_analysis`] turns it
-/// into the same degradation an in-process abort produces.
+/// `Ok` carrying aborted stats — handed to [`run`] through
+/// [`Input::Program`], it becomes the same degradation an in-process abort
+/// produces.
 ///
-/// The caller is responsible for the deadline caveat: a configuration with
-/// a wall-clock deadline (on the budget or the limits) must not share the
-/// result, because the deadline is anchored to this call's wall clock.
+/// Share the result only with runs whose configuration
+/// [`reuses_analysis`](PipelineConfig::reuses_analysis).
 ///
 /// # Errors
 ///
@@ -512,60 +461,6 @@ pub fn analyze_contained(
     run_phase(Phase::Analysis, || {
         fdi_cfa::analyze_with_limits(program, config.policy, config.limits)
     })
-}
-
-/// [`optimize_program`] with an externally supplied analysis phase.
-///
-/// `analysis` is the outcome of [`analyze_contained`] (possibly computed on
-/// another thread and shared through a cache): `Ok(flow)` substitutes the
-/// flow analysis, `Err(e)` replays a contained analysis failure, degrading
-/// the run to its baseline exactly as an in-process failure would. The
-/// run's own budget still gates and is charged for the analysis phase.
-pub fn optimize_program_with_analysis(
-    program: &Program,
-    config: &PipelineConfig,
-    analysis: Result<&FlowAnalysis, &PipelineError>,
-) -> PipelineOutput {
-    run_pipeline_with(program, config, Some(analysis), &Telemetry::off(), None)
-}
-
-/// [`optimize_program_with_analysis`] with a live telemetry stream (see
-/// [`optimize_instrumented`]) — the engine's instrumented execution path.
-pub fn optimize_program_with_analysis_instrumented(
-    program: &Program,
-    config: &PipelineConfig,
-    analysis: Result<&FlowAnalysis, &PipelineError>,
-    telemetry: &Telemetry,
-) -> PipelineOutput {
-    run_pipeline_with(program, config, Some(analysis), telemetry, None)
-}
-
-/// [`optimize_program_with_analysis_instrumented`] with an optional profile
-/// guide (see [`optimize_guided`]) — the engine's profile-guided execution
-/// path.
-pub fn optimize_program_with_analysis_guided(
-    program: &Program,
-    config: &PipelineConfig,
-    analysis: Result<&FlowAnalysis, &PipelineError>,
-    guide: Option<&InlineGuide>,
-    telemetry: &Telemetry,
-) -> PipelineOutput {
-    run_pipeline_with(program, config, Some(analysis), telemetry, guide)
-}
-
-/// [`optimize_program_with_analysis_guided`] under an explicit
-/// [`PipelineRuntime`] — the engine's accelerated execution path: a shared
-/// specialization cache and parallel inlining units, both output-transparent
-/// (byte-identical to the sequential, cache-free run).
-pub fn optimize_program_with_analysis_runtime(
-    program: &Program,
-    config: &PipelineConfig,
-    analysis: Result<&FlowAnalysis, &PipelineError>,
-    guide: Option<&InlineGuide>,
-    telemetry: &Telemetry,
-    runtime: PipelineRuntime<'_>,
-) -> PipelineOutput {
-    run_pipeline_runtime(program, config, Some(analysis), telemetry, guide, runtime)
 }
 
 /// Runs the pipeline repeatedly — analyze, inline, simplify, re-analyze —
@@ -591,11 +486,11 @@ pub fn optimize_to_fixpoint(
     max_rounds: usize,
 ) -> Result<(PipelineOutput, usize), PipelineError> {
     let program = frontend(src, config)?;
-    let mut out = run_pipeline(&program, config);
+    let mut out = optimize_program(&program, config)?;
     let mut health = std::mem::take(&mut out.health);
     let mut rounds = 1;
     while rounds < max_rounds && !health.degraded() {
-        let mut next = run_pipeline(&out.optimized, config);
+        let mut next = optimize_program(&out.optimized, config)?;
         rounds += 1;
         // Stop once a round neither inlines anything nor shrinks the code.
         let stable = next.report.sites_inlined == 0 && next.optimized_size >= out.optimized_size;
@@ -640,8 +535,7 @@ pub struct SweepRow {
 /// whose output fails to execute, or whose output diverges from the
 /// threshold-0 answer falls back to the baseline measurements with the
 /// failure recorded in that row's health — one pathological configuration
-/// no longer kills the whole sweep. [`sweep_strict`] restores the
-/// fail-fast contract.
+/// no longer kills the whole sweep.
 ///
 /// # Errors
 ///
@@ -677,14 +571,10 @@ pub fn sweep(
 /// [`sweep`] for an already-lowered program.
 ///
 /// The flow analysis is threshold-independent, so it runs **once** per sweep
-/// (when no wall-clock deadline is configured) and is shared across every
-/// threshold's pipeline; only the inline + simplify tail runs per threshold.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Vm`] when the threshold-0 baseline itself fails
-/// to execute.
-pub fn sweep_program(
+/// (when [`PipelineConfig::reuses_analysis`] allows) and is shared across
+/// every threshold's pipeline; only the inline + simplify tail runs per
+/// threshold.
+fn sweep_program(
     program: &Program,
     thresholds: &[usize],
     config: &PipelineConfig,
@@ -693,32 +583,20 @@ pub fn sweep_program(
     // Always measure threshold 0 first for normalization.
     let mut all: Vec<usize> = vec![0];
     all.extend(thresholds.iter().copied().filter(|&t| t != 0));
-    // A deadline (absolute or budget-relative) makes analyses of the same
-    // program diverge between rows, so only deadline-free sweeps share one.
-    // An enabled fault plan also forbids sharing: each row must fire its own
-    // analysis-phase faults. And the schedule must open with the analysis —
-    // a rewrite before it would invalidate the shared result.
-    let sharable = config.budget.deadline.is_none()
-        && config.limits.deadline.is_none()
-        && !config.faults.enabled()
-        && config.schedule.starts_with_analyze();
-    let shared = sharable.then(|| analyze_contained(program, config));
+    let shared = config
+        .reuses_analysis()
+        .then(|| analyze_contained(program, config));
+    let input = Input::Program {
+        program,
+        analysis: shared.as_ref().map(Result::as_ref),
+    };
     let mut cells = Vec::with_capacity(all.len());
     for t in all {
         let cfg = PipelineConfig {
             threshold: t,
             ..*config
         };
-        let output = match &shared {
-            Some(analysis) => run_pipeline_with(
-                program,
-                &cfg,
-                Some(analysis.as_ref()),
-                &Telemetry::off(),
-                None,
-            ),
-            None => run_pipeline(program, &cfg),
-        };
+        let output = run(&Request::new(input, cfg))?;
         let exec = execute_cell(&output, t, run_config);
         cells.push(SweepCell {
             threshold: t,
@@ -849,27 +727,6 @@ pub fn assemble_sweep_rows(
                     health,
                 });
             }
-        }
-    }
-    Ok(rows)
-}
-
-/// [`sweep`] with the fail-fast contract: the first degraded row's error is
-/// returned instead of a baseline-fallback row.
-///
-/// # Errors
-///
-/// Returns the typed [`PipelineError`] of the first failing row.
-pub fn sweep_strict(
-    src: &str,
-    thresholds: &[usize],
-    config: &PipelineConfig,
-    run_config: &RunConfig,
-) -> Result<Vec<SweepRow>, PipelineError> {
-    let rows = sweep(src, thresholds, config, run_config)?;
-    for row in &rows {
-        if let Some(e) = row.health.first_error() {
-            return Err(e.clone());
         }
     }
     Ok(rows)
@@ -1008,7 +865,11 @@ mod tests {
         cfg.profile_fp = Some(0x1234);
         let mut guide = InlineGuide::new();
         guide.set(hot.0.clone(), 1_000_000);
-        let guided = optimize_guided(src, &cfg, Some(&guide), &Telemetry::off()).unwrap();
+        let guided = run(&Request {
+            guide: Some(&guide),
+            ..Request::source(src, cfg)
+        })
+        .unwrap();
         assert!(!guided.health.degraded());
         assert!(guided
             .decisions
@@ -1050,7 +911,7 @@ mod tests {
         let r = fdi_vm::run(&out.optimized, &RunConfig::default()).unwrap();
         assert_eq!(r.value, "2401");
         // Strict mode propagates the same failure as a typed error.
-        let err = optimize_strict(src, &cfg).unwrap_err();
+        let err = optimize(src, &cfg).unwrap().into_strict().unwrap_err();
         assert!(matches!(err, PipelineError::AnalysisAborted { .. }));
     }
 
@@ -1111,7 +972,14 @@ mod tests {
         let program = fdi_lang::parse_and_lower(src).unwrap();
         let config = PipelineConfig::with_threshold(300);
         let flow = analyze_contained(&program, &config).unwrap();
-        let shared = optimize_program_with_analysis(&program, &config, Ok(&flow));
+        let shared = run(&Request {
+            input: Input::Program {
+                program: &program,
+                analysis: Some(Ok(&flow)),
+            },
+            ..Request::program(&program, config)
+        })
+        .unwrap();
         let solo = optimize_program(&program, &config).unwrap();
         assert_eq!(
             fdi_lang::unparse(&shared.optimized).to_string(),
@@ -1131,7 +999,14 @@ mod tests {
             phase: Phase::Analysis,
             message: "replayed".to_string(),
         };
-        let out = optimize_program_with_analysis(&program, &config, Err(&err));
+        let out = run(&Request {
+            input: Input::Program {
+                program: &program,
+                analysis: Some(Err(&err)),
+            },
+            ..Request::program(&program, config)
+        })
+        .unwrap();
         assert!(out.health.degraded());
         assert!(matches!(
             out.health.first_error(),
@@ -1265,7 +1140,7 @@ mod tests {
     fn frontend_errors_still_propagate() {
         let err = optimize("(let ((x 1)", &PipelineConfig::default()).unwrap_err();
         assert!(matches!(err, PipelineError::Frontend(_)));
-        let err = optimize_strict("(((", &PipelineConfig::default()).unwrap_err();
+        let err = optimize("(((", &PipelineConfig::default()).unwrap_err();
         assert!(matches!(err, PipelineError::Frontend(_)));
     }
 }

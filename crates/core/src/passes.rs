@@ -7,21 +7,19 @@
 //! with small copy-paste variations. This module factors that bookkeeping
 //! into one place:
 //!
-//! * [`Pass`] — the uniform interface every phase implements. The trait
-//!   lives here; the pass *types* live in their phase crates
-//!   ([`fdi_lang::ParsePass`], [`fdi_cfa::AnalyzePass`],
-//!   [`fdi_inline::InlinePass`], [`fdi_simplify::SimplifyPass`], …) and this
-//!   module implements `Pass` over them.
 //! * [`Schedule`] — which transform passes run, in what order, with
 //!   optional repetition (`simplify*3`) or bounded fixpoint iteration
 //!   (`simplify*`). The default schedule is the paper's
 //!   analyze → inline → simplify chain, byte-identical to the historical
-//!   pipeline.
-//! * [`PassManager`] *(internal)* — owns the canonical program artifact and
-//!   threads every cross-cutting concern through one loop: [`crate::Budget`]
-//!   charging, fault points derived from pass names
-//!   ([`FaultPoint::for_pass`]), post-pass validation, the
-//!   translation-validation oracle, and last-validated-program rollback.
+//!   pipeline. Each pass's name and fingerprint salt come from its phase
+//!   crate ([`fdi_cfa::AnalyzePass`], [`fdi_inline::InlinePass`],
+//!   [`fdi_simplify::SimplifyPass`]).
+//! * The pass manager *(internal)* — owns the canonical program artifact,
+//!   calls each phase function directly, and threads every cross-cutting
+//!   concern through one loop: [`crate::Budget`] charging, fault points
+//!   derived from pass names ([`FaultPoint::for_pass`]), post-pass
+//!   validation, the translation-validation oracle, and
+//!   last-validated-program rollback.
 //! * [`PassTrace`] — per-pass instrumentation (wall time, fuel, node-count
 //!   delta, disposition) surfaced through [`crate::PipelineOutput::passes`].
 //!
@@ -34,15 +32,14 @@ use crate::fingerprint::Fingerprint;
 use crate::oracle::{self, compare_observations, Observation, OracleConfig};
 use crate::runner::{run_phase, BudgetTracker, Fallback, PipelineHealth};
 use crate::{
-    AnalysisStats, FlowAnalysis, InlineConfig, InlineReport, Phase, PipelineConfig, PipelineError,
-    PipelineOutput, PipelineRuntime, SimplifyStats,
+    AnalysisStats, FlowAnalysis, FrontendError, InlineConfig, InlineReport, Phase, PipelineConfig,
+    PipelineError, PipelineOutput, Request, SimplifyStats,
 };
 use fdi_cfa::AnalyzePass;
-use fdi_inline::{InlineGuide, InlinePass, InlineRuntime};
-use fdi_lang::{ExpandPass, LowerPass, ParsePass, Program, UnparsePass, ValidatePass};
-use fdi_sexpr::Datum;
+use fdi_inline::{InlinePass, InlineRuntime};
+use fdi_lang::Program;
 use fdi_simplify::SimplifyPass;
-use fdi_telemetry::{DecisionRecord, Telemetry};
+use fdi_telemetry::DecisionRecord;
 use std::fmt;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
@@ -323,272 +320,22 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// What a pass did with its input.
-#[derive(Debug)]
-pub enum PassOutcome {
-    /// The pass rewrote the program; the result is the new canonical
-    /// artifact (after the manager's validation and oracle gates).
-    Rewrite(Program),
-    /// The pass produced a flow analysis, staged in the context.
-    Analyzed,
-    /// The pass staged an intermediate artifact in the context (frontend
-    /// stages) or checked an invariant without rewriting (validation).
-    Staged,
-}
-
-/// The artifact context a [`Pass`] runs in.
-///
-/// A pass reads its input from the borrowed slots (`source`, `program`,
-/// `flow`) and leaves non-program results in the staged slots; the program
-/// itself travels through [`PassOutcome::Rewrite`] so the manager can gate
-/// it before committing.
-#[derive(Debug, Default)]
-pub struct PassCx<'a> {
-    /// The phase this pass runs under — error attribution and panic
-    /// containment labels.
-    pub phase: Option<Phase>,
-    /// Source text (frontend stages only).
-    pub source: Option<&'a str>,
-    /// The pass's input program (transform passes).
-    pub program: Option<&'a Program>,
-    /// The flow analysis directing the inliner.
-    pub flow: Option<&'a FlowAnalysis>,
-    /// Reader output: surface data with the prelude prepended.
-    pub staged_data: Option<Vec<Datum>>,
-    /// Expander output: the core-form program datum.
-    pub staged_core: Option<Datum>,
-    /// Analysis output, staged for the manager to adopt.
-    pub staged_flow: Option<FlowAnalysis>,
-    /// Inliner report, staged alongside its rewrite.
-    pub staged_report: Option<InlineReport>,
-    /// Simplifier counters, staged alongside its rewrite.
-    pub staged_simplify: Option<SimplifyStats>,
-    /// Unparser output: the program rendered as source text.
-    pub staged_text: Option<String>,
-    /// Inliner decision provenance, staged alongside its rewrite.
-    pub staged_decisions: Option<Vec<DecisionRecord>>,
-    /// Telemetry handle the pass emits spans and events into. Defaults to
-    /// the disabled handle, which costs one branch per emission site.
-    pub telemetry: Telemetry,
-}
-
-impl<'a> PassCx<'a> {
-    /// A context for the frontend stages over `src`.
-    pub fn for_source(src: &'a str) -> PassCx<'a> {
-        PassCx {
-            phase: Some(Phase::Frontend),
-            source: Some(src),
-            ..PassCx::default()
-        }
-    }
-
-    /// A context for a transform pass over `program`.
-    pub fn for_program(
-        phase: Phase,
-        program: &'a Program,
-        flow: Option<&'a FlowAnalysis>,
-    ) -> PassCx<'a> {
-        PassCx {
-            phase: Some(phase),
-            program: Some(program),
-            flow,
-            ..PassCx::default()
-        }
-    }
-
-    /// The same context with a telemetry handle attached.
-    pub fn with_telemetry(mut self, telemetry: &Telemetry) -> PassCx<'a> {
-        self.telemetry = telemetry.clone();
-        self
-    }
-
-    fn phase(&self) -> Phase {
-        self.phase.expect("pass context carries a phase")
-    }
-}
-
-/// The uniform pass interface the manager drives.
-///
-/// The pass types themselves live in their phase crates as plain structs
-/// with `NAME`/`SALT` constants and a typed `apply`; this trait is the
-/// manager-facing adapter, implemented here for each of them. A pass that
-/// needs a missing artifact panics — the manager runs every pass under
-/// panic containment, so a mis-wired schedule degrades instead of crashing.
-pub trait Pass {
-    /// Stable name: trace label, schedule keyword, and the key
-    /// [`FaultPoint::for_pass`] resolves.
-    fn name(&self) -> &'static str;
-    /// Behaviour-version salt folded into schedule fingerprints.
-    fn fingerprint_salt(&self) -> u64;
-    /// Runs the pass over the context.
-    ///
-    /// # Errors
-    ///
-    /// Returns the pass's typed [`PipelineError`] (frontend rejections,
-    /// validation failures); infallible passes always return `Ok`.
-    fn run(&self, cx: &mut PassCx<'_>) -> Result<PassOutcome, PipelineError>;
-}
-
-impl Pass for ParsePass {
-    fn name(&self) -> &'static str {
-        ParsePass::NAME
-    }
-
-    fn fingerprint_salt(&self) -> u64 {
-        ParsePass::SALT
-    }
-
-    fn run(&self, cx: &mut PassCx<'_>) -> Result<PassOutcome, PipelineError> {
-        let src = cx.source.expect("parse pass needs source text");
-        cx.staged_data = Some(self.apply(src).map_err(PipelineError::Frontend)?);
-        Ok(PassOutcome::Staged)
-    }
-}
-
-impl Pass for ExpandPass {
-    fn name(&self) -> &'static str {
-        ExpandPass::NAME
-    }
-
-    fn fingerprint_salt(&self) -> u64 {
-        ExpandPass::SALT
-    }
-
-    fn run(&self, cx: &mut PassCx<'_>) -> Result<PassOutcome, PipelineError> {
-        let data = cx
-            .staged_data
-            .take()
-            .expect("expand pass needs parsed data");
-        cx.staged_core = Some(self.apply(&data).map_err(PipelineError::Frontend)?);
-        Ok(PassOutcome::Staged)
-    }
-}
-
-impl Pass for LowerPass {
-    fn name(&self) -> &'static str {
-        LowerPass::NAME
-    }
-
-    fn fingerprint_salt(&self) -> u64 {
-        LowerPass::SALT
-    }
-
-    fn run(&self, cx: &mut PassCx<'_>) -> Result<PassOutcome, PipelineError> {
-        let core = cx
-            .staged_core
-            .take()
-            .expect("lower pass needs expanded core");
-        Ok(PassOutcome::Rewrite(
-            self.apply(&core).map_err(PipelineError::Frontend)?,
-        ))
-    }
-}
-
-impl Pass for ValidatePass {
-    fn name(&self) -> &'static str {
-        ValidatePass::NAME
-    }
-
-    fn fingerprint_salt(&self) -> u64 {
-        ValidatePass::SALT
-    }
-
-    fn run(&self, cx: &mut PassCx<'_>) -> Result<PassOutcome, PipelineError> {
-        let program = cx.program.expect("validate pass needs a program");
-        self.apply(program)
-            .map_err(|error| PipelineError::Validation {
-                phase: cx.phase(),
-                error,
-            })?;
-        Ok(PassOutcome::Staged)
-    }
-}
-
-impl Pass for UnparsePass {
-    fn name(&self) -> &'static str {
-        UnparsePass::NAME
-    }
-
-    fn fingerprint_salt(&self) -> u64 {
-        UnparsePass::SALT
-    }
-
-    fn run(&self, cx: &mut PassCx<'_>) -> Result<PassOutcome, PipelineError> {
-        let program = cx.program.expect("unparse pass needs a program");
-        cx.staged_text = Some(self.apply(program));
-        Ok(PassOutcome::Staged)
-    }
-}
-
-impl Pass for AnalyzePass {
-    fn name(&self) -> &'static str {
-        AnalyzePass::NAME
-    }
-
-    fn fingerprint_salt(&self) -> u64 {
-        AnalyzePass::SALT
-    }
-
-    fn run(&self, cx: &mut PassCx<'_>) -> Result<PassOutcome, PipelineError> {
-        let program = cx.program.expect("analyze pass needs a program");
-        cx.staged_flow = Some(self.apply_instrumented(program, &cx.telemetry));
-        Ok(PassOutcome::Analyzed)
-    }
-}
-
-impl Pass for InlinePass {
-    fn name(&self) -> &'static str {
-        InlinePass::NAME
-    }
-
-    fn fingerprint_salt(&self) -> u64 {
-        InlinePass::SALT
-    }
-
-    fn run(&self, cx: &mut PassCx<'_>) -> Result<PassOutcome, PipelineError> {
-        let program = cx.program.expect("inline pass needs a program");
-        let flow = cx.flow.expect("inline pass needs a flow analysis");
-        let out = self.apply_recorded(program, flow, &cx.telemetry);
-        cx.staged_report = Some(out.report);
-        cx.staged_decisions = Some(out.decisions);
-        Ok(PassOutcome::Rewrite(out.program))
-    }
-}
-
-impl Pass for SimplifyPass {
-    fn name(&self) -> &'static str {
-        SimplifyPass::NAME
-    }
-
-    fn fingerprint_salt(&self) -> u64 {
-        SimplifyPass::SALT
-    }
-
-    fn run(&self, cx: &mut PassCx<'_>) -> Result<PassOutcome, PipelineError> {
-        let program = cx.program.expect("simplify pass needs a program");
-        let (out, stats) = self.apply(program);
-        cx.staged_simplify = Some(stats);
-        Ok(PassOutcome::Rewrite(out))
-    }
-}
-
-/// Runs the staged frontend (parse → expand → lower) through the pass
-/// trait, firing each stage's fault point first. Panics are contained by
-/// the caller's `run_phase` envelope.
+/// Runs the staged frontend (parse → expand → lower), firing each stage's
+/// fault point first. Panics are contained by the caller's `run_phase`
+/// envelope.
 pub(crate) fn run_staged_frontend(
     src: &str,
     injector: &FaultInjector,
 ) -> Result<Program, PipelineError> {
-    let mut cx = PassCx::for_source(src);
-    let stages: [&dyn Pass; 3] = [&ParsePass, &ExpandPass, &LowerPass];
-    for pass in stages {
-        let point = FaultPoint::for_pass(pass.name()).expect("frontend stages have fault points");
-        injector.fire(point)?;
-        if let PassOutcome::Rewrite(p) = pass.run(&mut cx)? {
-            return Ok(p);
-        }
+    fn frontend(e: impl Into<FrontendError>) -> PipelineError {
+        PipelineError::Frontend(e.into())
     }
-    unreachable!("the lowering stage rewrites to a program")
+    injector.fire(FaultPoint::Parse)?;
+    let data = fdi_lang::with_prelude(&fdi_sexpr::parse(src).map_err(frontend)?);
+    injector.fire(FaultPoint::Expand)?;
+    let core = fdi_lang::expand_program(&data).map_err(frontend)?;
+    injector.fire(FaultPoint::Lower)?;
+    fdi_lang::lower_program(&core).map_err(frontend)
 }
 
 /// How a scheduled pass resolved in one run.
@@ -658,6 +405,11 @@ fn fire_contained(
     run_phase(phase, || injector.fire(point)).and_then(|r| r)
 }
 
+/// The post-pass validation checkpoint, attributed to `phase`.
+fn validated(phase: Phase, program: &Program) -> Result<(), PipelineError> {
+    fdi_lang::validate(program).map_err(|error| PipelineError::Validation { phase, error })
+}
+
 /// One oracle checkpoint: compares `candidate` against the reference
 /// observation and returns the typed rejection, if any. `None` when the
 /// oracle is off, the comparison is inconclusive, or the programs agree.
@@ -700,7 +452,7 @@ struct StepHalt;
 /// The pass manager: owns the canonical program and runs a schedule over it.
 struct PassManager<'a> {
     program: &'a Program,
-    config: &'a PipelineConfig,
+    request: &'a Request<'a>,
     injector: FaultInjector,
     tracker: BudgetTracker,
     health: PipelineHealth,
@@ -713,34 +465,27 @@ struct PassManager<'a> {
     report: InlineReport,
     decisions: Vec<DecisionRecord>,
     simplify_stats: SimplifyStats,
-    telemetry: Telemetry,
     /// True once a transform pass has committed a rewrite. Gates two
     /// things: the rollback target (`Baseline` before, `Inlined` after) and
     /// the pass input (the original program before, the rewritten one
     /// after) — reproducing the historical chain, where analysis and
     /// inlining both consumed the *original* program.
     rewritten: bool,
+    /// The caller's precomputed analysis (the [`crate::Input::Program`]
+    /// cache seam), if any.
     shared: Option<Result<&'a FlowAnalysis, &'a PipelineError>>,
-    /// Benefit guide for budgeted inlining (`None` = static order). The
-    /// guide is not `Copy`, so it rides beside the config rather than in it;
-    /// `config.profile_fp` carries its identity into the cache key.
-    guide: Option<&'a InlineGuide>,
-    /// Output-transparent acceleration state (specialization cache, parallel
-    /// inlining units); never enters any fingerprint.
-    runtime: PipelineRuntime<'a>,
 }
 
-/// Runs `config.schedule` over `program` — the engine behind every
-/// degrading entry point. Total: any pass failure rolls back to the last
-/// validated program and is recorded in the output's health ledger.
+/// Runs the request's schedule over `program` — the engine behind
+/// [`crate::run`]. Total: any pass failure rolls back to the last validated
+/// program and is recorded in the output's health ledger.
 pub(crate) fn run_schedule<'a>(
     program: &'a Program,
-    config: &'a PipelineConfig,
     shared: Option<Result<&'a FlowAnalysis, &'a PipelineError>>,
-    telemetry: &Telemetry,
-    guide: Option<&'a InlineGuide>,
-    runtime: PipelineRuntime<'a>,
+    request: &'a Request<'a>,
 ) -> PipelineOutput {
+    let config = &request.config;
+    let telemetry = &request.telemetry;
     // A fresh injector per run: the same seed replays exactly the same
     // faults. Disabled plans cost one branch per fire site.
     let injector = FaultInjector::new(config.faults);
@@ -780,7 +525,7 @@ pub(crate) fn run_schedule<'a>(
 
     let mut m = PassManager {
         program,
-        config,
+        request,
         injector,
         tracker,
         health,
@@ -793,11 +538,8 @@ pub(crate) fn run_schedule<'a>(
         report: InlineReport::default(),
         decisions: Vec::new(),
         simplify_stats: SimplifyStats::default(),
-        telemetry: telemetry.clone(),
         rewritten: false,
         shared,
-        guide,
-        runtime,
     };
 
     let schedule = config.schedule;
@@ -828,25 +570,13 @@ fn baseline_attempt(
     reference: Option<&Observation>,
 ) -> Result<Program, PipelineError> {
     tracker.admit(Phase::Baseline)?;
-    let pass = SimplifyPass {
-        iters: config.simplify_iters,
-    };
     let b = run_phase(Phase::Baseline, || -> Result<Program, PipelineError> {
         injector.fire(FaultPoint::Simplify)?;
-        let mut cx = PassCx::for_program(Phase::Baseline, program, None);
-        match pass.run(&mut cx)? {
-            PassOutcome::Rewrite(p) => Ok(p),
-            _ => unreachable!("the simplifier always rewrites"),
-        }
+        Ok(fdi_simplify::simplify_n(program, config.simplify_iters).0)
     })
     .and_then(|r| r)?;
     fire_contained(injector, Phase::Baseline, FaultPoint::Validate)?;
-    ValidatePass
-        .apply(&b)
-        .map_err(|error| PipelineError::Validation {
-            phase: Phase::Baseline,
-            error,
-        })?;
+    validated(Phase::Baseline, &b)?;
     match oracle_gate(reference, &config.oracle, Phase::Baseline, &b) {
         Some(e) => Err(e),
         None => Ok(b),
@@ -883,7 +613,7 @@ impl<'a> PassManager<'a> {
         pass: &'static str,
         size_before: usize,
     ) -> Result<(), StepHalt> {
-        self.telemetry.instant(
+        self.request.telemetry.instant(
             "pass.degraded",
             "pipeline",
             &[("pass", pass.to_string()), ("error", error.to_string())],
@@ -919,7 +649,7 @@ impl<'a> PassManager<'a> {
     /// with the budget deadline threaded into the solver's limits.
     fn step_analyze(&mut self) -> Result<(), StepHalt> {
         let start = Instant::now();
-        let _span = self.telemetry.span("analyze", "pass");
+        let _span = self.request.telemetry.span("analyze", "pass");
         let size = self.input().size();
         if let Err(e) = self.tracker.admit(Phase::Analysis) {
             return self.degrade(Phase::Analysis, e, start, "analyze", size);
@@ -932,7 +662,9 @@ impl<'a> PassManager<'a> {
                     return self.degrade(Phase::Analysis, e, start, "analyze", size);
                 }
                 self.flow = FlowSlot::Shared(flow);
-                self.telemetry.instant("analysis.shared", "cache", &[]);
+                self.request
+                    .telemetry
+                    .instant("analysis.shared", "cache", &[]);
                 disposition = PassDisposition::CachedAnalysis;
             }
             Some(Err(e)) => {
@@ -940,27 +672,22 @@ impl<'a> PassManager<'a> {
                 return self.degrade(Phase::Analysis, e, start, "analyze", size);
             }
             None => {
-                let mut limits = self.config.limits;
+                let mut limits = self.request.config.limits;
                 limits.deadline = match (limits.deadline, self.tracker.deadline()) {
                     (Some(a), Some(b)) => Some(a.min(b)),
                     (a, b) => a.or(b),
                 };
-                let pass = AnalyzePass {
-                    policy: self.config.policy,
-                    limits,
-                };
                 let result = {
                     let injector = &self.injector;
                     let input = self.input();
-                    let telemetry = &self.telemetry;
+                    let (policy, telemetry) = (self.request.config.policy, &self.request.telemetry);
                     run_phase(
                         Phase::Analysis,
                         || -> Result<FlowAnalysis, PipelineError> {
                             injector.fire(FaultPoint::Analyze)?;
-                            let mut cx = PassCx::for_program(Phase::Analysis, input, None)
-                                .with_telemetry(telemetry);
-                            pass.run(&mut cx)?;
-                            Ok(cx.staged_flow.take().expect("analyze pass stages a flow"))
+                            Ok(fdi_cfa::analyze_instrumented(
+                                input, policy, limits, telemetry,
+                            ))
                         },
                     )
                 };
@@ -1013,8 +740,8 @@ impl<'a> PassManager<'a> {
         Ok(())
     }
 
-    /// Resolve the shared [`PipelineRuntime`] into the inliner's runtime for
-    /// this step.
+    /// Resolve the request's acceleration state into the inliner's runtime
+    /// for this step.
     ///
     /// The specialization cache is keyed by a salt covering everything that
     /// determines a specialized body besides the threshold: the source text,
@@ -1028,24 +755,24 @@ impl<'a> PassManager<'a> {
         let cache = if self.rewritten {
             None
         } else {
-            self.runtime.spec_cache.map(|cache| {
+            self.request.spec_cache.map(|cache| {
                 let src = fdi_lang::unparse(self.program).to_string();
                 let salt = Fingerprint::new()
                     .u64(InlinePass::SALT)
                     .u64(crate::fingerprint::source_fingerprint(&src))
-                    .u64(self.config.analysis_fingerprint())
-                    .byte(match self.config.mode {
+                    .u64(self.request.config.analysis_fingerprint())
+                    .byte(match self.request.config.mode {
                         crate::InlineMode::Closed => 0,
                         crate::InlineMode::ClRef => 1,
                     })
-                    .usize(self.config.unroll)
+                    .usize(self.request.config.unroll)
                     .finish();
                 (cache, salt)
             })
         };
         InlineRuntime {
             cache,
-            units: self.runtime.inline_units.max(1),
+            units: self.request.inline_units.max(1),
         }
     }
 
@@ -1053,7 +780,7 @@ impl<'a> PassManager<'a> {
     /// oracle.
     fn step_inline(&mut self) -> Result<(), StepHalt> {
         let start = Instant::now();
-        let _span = self.telemetry.span("inline", "pass");
+        let _span = self.request.telemetry.span("inline", "pass");
         let size = self.input().size();
         if let Err(e) = self.tracker.admit(Phase::Inline) {
             return self.degrade(Phase::Inline, e, start, "inline", size);
@@ -1066,18 +793,16 @@ impl<'a> PassManager<'a> {
             );
             return self.degrade(Phase::Inline, e, start, "inline", size);
         }
-        let pass = InlinePass {
-            config: InlineConfig {
-                threshold: self.config.threshold,
-                mode: self.config.mode,
-                unroll: self.config.unroll,
-            },
+        let config = InlineConfig {
+            threshold: self.request.config.threshold,
+            mode: self.request.config.mode,
+            unroll: self.request.config.unroll,
         };
         // Chaos seam: clearing the shared specialization cache right before
         // the pass must be invisible in the output (the inliner falls back
         // to live specialization).
         if self.injector.poll(FaultPoint::SpecCacheEvict).is_some() {
-            if let Some(cache) = self.runtime.spec_cache {
+            if let Some(cache) = self.request.spec_cache {
                 cache.clear();
             }
         }
@@ -1090,46 +815,22 @@ impl<'a> PassManager<'a> {
                 self.program
             };
             let flow = self.flow.get().expect("checked above");
-            let telemetry = &self.telemetry;
-            let guide = self.guide;
-            let size_budget = self.config.size_budget;
+            let request = self.request;
+            let size_budget = self.request.config.size_budget;
             run_phase(
                 Phase::Inline,
                 || -> Result<(Program, InlineReport, Vec<DecisionRecord>), PipelineError> {
                     injector.fire(FaultPoint::Inline)?;
-                    if size_budget.is_some() {
-                        // The budgeted driver probes, plans the budget over
-                        // candidate sites (benefit-ordered when guided), and
-                        // commits — bypassing the `Pass` seam, which has no
-                        // channel for the out-of-band guide.
-                        let out = pass.apply_budgeted_with(
-                            input,
-                            flow,
-                            guide,
-                            size_budget,
-                            telemetry,
-                            inline_rt,
-                        );
-                        return Ok((out.program, out.report, out.decisions));
-                    }
-                    if inline_rt.cache.is_some() || inline_rt.units > 1 {
-                        // The accelerated path bypasses the `Pass` seam the
-                        // same way; the output is byte-identical.
-                        let out = pass.apply_with(input, flow, telemetry, inline_rt);
-                        return Ok((out.program, out.report, out.decisions));
-                    }
-                    let mut cx = PassCx::for_program(Phase::Inline, input, Some(flow))
-                        .with_telemetry(telemetry);
-                    match pass.run(&mut cx)? {
-                        PassOutcome::Rewrite(p) => Ok((
-                            p,
-                            cx.staged_report.take().expect("inline stages a report"),
-                            cx.staged_decisions
-                                .take()
-                                .expect("inline stages its decisions"),
-                        )),
-                        _ => unreachable!("the inliner always rewrites"),
-                    }
+                    let out = fdi_inline::inline_program_budgeted(
+                        input,
+                        flow,
+                        &config,
+                        request.guide,
+                        size_budget,
+                        inline_rt,
+                        &request.telemetry,
+                    );
+                    Ok((out.program, out.report, out.decisions))
                 },
             )
         };
@@ -1149,11 +850,7 @@ impl<'a> PassManager<'a> {
         if let Err(e) = fire_contained(&self.injector, Phase::Inline, FaultPoint::Validate) {
             return self.degrade(Phase::Inline, e, start, "inline", size);
         }
-        if let Err(error) = ValidatePass.apply(&inlined) {
-            let e = PipelineError::Validation {
-                phase: Phase::Inline,
-                error,
-            };
+        if let Err(e) = validated(Phase::Inline, &inlined) {
             return self.degrade(Phase::Inline, e, start, "inline", size);
         }
         if let Err(e) =
@@ -1188,7 +885,7 @@ impl<'a> PassManager<'a> {
     /// comparison — byte-identical to the historical chain.
     fn step_simplify(&mut self, repeat: u8) -> Result<(), StepHalt> {
         let start = Instant::now();
-        let _span = self.telemetry.span("simplify", "pass");
+        let _span = self.request.telemetry.span("simplify", "pass");
         let size_before = self.optimized.size();
         if let Err(e) = self.tracker.admit(Phase::Simplify) {
             return self.degrade(Phase::Simplify, e, start, "simplify", size_before);
@@ -1198,12 +895,10 @@ impl<'a> PassManager<'a> {
         } else {
             repeat as u32
         };
-        let pass = SimplifyPass {
-            iters: self.config.simplify_iters,
-        };
         let result = {
             let injector = &self.injector;
             let input = &self.optimized;
+            let iters = self.request.config.simplify_iters;
             run_phase(
                 Phase::Simplify,
                 || -> Result<(Program, SimplifyStats, u32), PipelineError> {
@@ -1213,15 +908,12 @@ impl<'a> PassManager<'a> {
                     for _ in 0..reps {
                         injector.fire(FaultPoint::Simplify)?;
                         let step_input: &Program = cur.as_ref().unwrap_or(input);
-                        let mut cx = PassCx::for_program(Phase::Simplify, step_input, None);
-                        let next = match pass.run(&mut cx)? {
-                            PassOutcome::Rewrite(p) => p,
-                            _ => unreachable!("the simplifier always rewrites"),
-                        };
-                        acc.merge(cx.staged_simplify.take().expect("simplify stages stats"));
+                        let (next, stats) = fdi_simplify::simplify_n(step_input, iters);
+                        acc.merge(stats);
                         runs += 1;
                         let converged = runs < reps
-                            && UnparsePass.apply(&next) == UnparsePass.apply(step_input);
+                            && fdi_lang::unparse(&next).to_string()
+                                == fdi_lang::unparse(step_input).to_string();
                         cur = Some(next);
                         if converged {
                             break;
@@ -1238,11 +930,7 @@ impl<'a> PassManager<'a> {
         if let Err(e) = fire_contained(&self.injector, Phase::Simplify, FaultPoint::Validate) {
             return self.degrade(Phase::Simplify, e, start, "simplify", size_before);
         }
-        if let Err(error) = ValidatePass.apply(&simplified) {
-            let e = PipelineError::Validation {
-                phase: Phase::Simplify,
-                error,
-            };
+        if let Err(e) = validated(Phase::Simplify, &simplified) {
             return self.degrade(Phase::Simplify, e, start, "simplify", size_before);
         }
         if let Some(e) = self.oracle_check(Phase::Simplify, &simplified) {
@@ -1270,12 +958,12 @@ impl<'a> PassManager<'a> {
     fn oracle_check(&self, phase: Phase, candidate: &Program) -> Option<PipelineError> {
         let verdict = oracle_gate(
             self.reference.as_ref(),
-            &self.config.oracle,
+            &self.request.config.oracle,
             phase,
             candidate,
         );
         if self.reference.is_some() {
-            self.telemetry.instant(
+            self.request.telemetry.instant(
                 "oracle.check",
                 "oracle",
                 &[
@@ -1389,7 +1077,10 @@ mod tests {
         let injector = FaultInjector::new(FaultPlan::default());
         let staged = run_staged_frontend(src, &injector).unwrap();
         let fused = fdi_lang::parse_and_lower(src).unwrap();
-        assert_eq!(UnparsePass.apply(&staged), UnparsePass.apply(&fused));
+        assert_eq!(
+            fdi_lang::unparse(&staged).to_string(),
+            fdi_lang::unparse(&fused).to_string()
+        );
     }
 
     #[test]

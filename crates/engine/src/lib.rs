@@ -16,11 +16,11 @@
 //!   analysis policy), shared by every inline threshold. A six-threshold
 //!   sweep analyzes each program exactly once.
 //!
-//! Both caches deduplicate *in-flight* work (see [`cache`]): concurrent
-//! jobs needing the same artifact block on one computation instead of
-//! racing. Whole jobs deduplicate the same way: submitting a job identical
-//! (by [`PipelineConfig::fingerprint`]) to one already in flight returns a
-//! handle to the existing run.
+//! Both caches deduplicate *in-flight* work (the internal `cache` module's
+//! gates): concurrent jobs needing the same artifact block on one
+//! computation instead of racing. Whole jobs deduplicate the same way:
+//! submitting a job identical (by [`PipelineConfig::fingerprint`]) to one
+//! already in flight returns a handle to the existing run.
 //!
 //! # Supervision
 //!
@@ -78,10 +78,9 @@ pub use store::{fsck, FsckReport, StoredOutput};
 use cache::{BudgetLedger, CacheBudget, Gate, KeyedCache};
 use fdi_core::faults::{FaultInjector, FaultPlan, FaultPoint};
 use fdi_core::{
-    analyze_contained, assemble_sweep_rows, execute_cell, optimize_program_runtime,
-    optimize_program_with_analysis_runtime, optimize_runtime, parse_contained, source_fingerprint,
-    FlowAnalysis, InlineGuide, Outcome, Phase, PipelineConfig, PipelineError, PipelineOutput,
-    PipelineRuntime, Program, RunConfig, SpecializationCache, SweepCell, SweepRow,
+    analyze_contained, assemble_sweep_rows, execute_cell, parse_contained, run, source_fingerprint,
+    FlowAnalysis, InlineGuide, Input, Outcome, Phase, PipelineConfig, PipelineError,
+    PipelineOutput, Program, Request, RunConfig, SpecializationCache, SweepCell, SweepRow,
 };
 use fdi_telemetry::{DecisionTotals, Telemetry};
 use pool::{Pool, Task};
@@ -115,7 +114,7 @@ pub struct EngineConfig {
     /// Base of the deterministic linear backoff between retries (attempt
     /// `k` sleeps `k × retry_backoff`). Defaults to 10 ms.
     pub retry_backoff: Duration,
-    /// Root of the disk-backed artifact store ([`crate::store`]). `None`
+    /// Root of the disk-backed store of [`StoredOutput`] artifacts. `None`
     /// (the default) keeps the engine memory-only; `Some(dir)` persists
     /// every fully healthy, cache-eligible output so a restarted engine
     /// can answer from disk ([`Engine::lookup_stored`]). An unopenable
@@ -222,15 +221,13 @@ impl Job {
         (source_fingerprint(&self.source), self.config.fingerprint())
     }
 
-    /// Does this job bypass the artifact caches and job dedup? True for
-    /// deadline-bearing jobs (the deadline anchors to the run's own clock)
-    /// and for jobs with their own fault plan (injections are private to
-    /// the run). Bypass jobs never compute a fingerprint — cache keys are
-    /// the only thing fingerprints are for.
+    /// Does this job bypass the artifact caches and job dedup? True unless
+    /// its configuration [shares artifacts](PipelineConfig::shares_artifacts):
+    /// a deadline anchors to the run's own clock, and a job-level fault
+    /// plan's injections are private to the run. Bypass jobs never compute
+    /// a fingerprint — cache keys are the only thing fingerprints are for.
     fn bypasses_cache(&self) -> bool {
-        self.config.budget.deadline.is_some()
-            || self.config.limits.deadline.is_some()
-            || self.config.faults.enabled()
+        !self.config.shares_artifacts()
     }
 }
 
@@ -241,6 +238,7 @@ impl Job {
 pub type JobResult = Result<Arc<PipelineOutput>, PipelineError>;
 
 type ExecResult = Result<Outcome, PipelineError>;
+type AnalysisResult = Result<Arc<FlowAnalysis>, PipelineError>;
 type JobKey = (u64, u64);
 
 /// A job that exhausted its retries: an entry on the engine's poison list.
@@ -371,7 +369,7 @@ struct Inner {
     /// Parse artifacts by source fingerprint.
     programs: KeyedCache<u64, Result<ParseArtifact, PipelineError>>,
     /// Flow analyses by (source fingerprint, analysis fingerprint).
-    analyses: KeyedCache<JobKey, Result<Arc<FlowAnalysis>, PipelineError>>,
+    analyses: KeyedCache<JobKey, AnalysisResult>,
     /// In-flight jobs by whole-job key, for submission dedup.
     inflight: Mutex<HashMap<JobKey, Arc<Gate<JobResult>>>>,
     /// Round-robin shard assignment for execution and bypass tasks.
@@ -409,14 +407,6 @@ struct Inner {
 }
 
 impl Inner {
-    /// The shared acceleration state handed to every job's pipeline run.
-    fn runtime(&self) -> PipelineRuntime<'_> {
-        PipelineRuntime {
-            spec_cache: Some(&self.spec_cache),
-            inline_units: self.inline_units,
-        }
-    }
-
     /// Marks `job` profile-guided when the engine profile matches its
     /// source; a stale profile leaves the job static. With `record` set
     /// (submission) the outcome is counted and a stale match emits a
@@ -1013,11 +1003,11 @@ fn persist_output(inner: &Inner, job: &Job, src_key: u64, out: &PipelineOutput) 
     }
 }
 
-/// One job, start to finish, on a worker thread: parse through the artifact
-/// cache, analyze through the artifact cache, then run the inline +
-/// simplify tail in-process — unless the job bypasses caching entirely
-/// (deadline or private fault plan), in which case the whole pipeline runs
-/// in-process with no fingerprint ever computed.
+/// One job, start to finish, on a worker thread: parse and analyze through
+/// the artifact caches, then run the pipeline in-process over the cached
+/// program — unless the job bypasses caching entirely (deadline or private
+/// fault plan), in which case the whole pipeline runs from source with no
+/// fingerprint ever computed, and its output is never persisted.
 fn run_job(inner: &Inner, job: &Job) -> JobResult {
     let _span = inner.telemetry.span("job", "engine");
     if let Some(trace) = job.trace {
@@ -1029,28 +1019,57 @@ fn run_job(inner: &Inner, job: &Job) -> JobResult {
             &[("trace_id", format!("{trace:016x}"))],
         );
     }
-    if job.bypasses_cache() {
+    let cached = if job.bypasses_cache() {
         inner.stats.analysis_uncached.fetch_add(1, Relaxed);
-        let started = Instant::now();
-        // Bypass jobs skip the *artifact* caches (their deadlines and fault
-        // plans are private to the run), but still share the specialization
-        // cache: it is output-transparent, and its fault seam
-        // (`spec-cache-evict`) is only reachable from a job-level plan.
-        let out = optimize_runtime(
-            &job.source,
-            &job.config,
-            job_guide(inner, job),
-            &inner.telemetry,
-            inner.runtime(),
-        );
-        stats::StatsInner::add_time(&inner.stats.transform_ns, started.elapsed());
-        if let Ok(out) = &out {
-            inner.stats.record_passes(&out.passes);
-            inner.stats.record_decisions(&out.decisions);
-        }
-        return out.map(Arc::new);
+        None
+    } else {
+        Some(cached_artifacts(inner, job)?)
+    };
+    let input = match &cached {
+        None => Input::Source(&job.source),
+        Some((_, program, analysis)) => Input::Program {
+            program,
+            analysis: analysis.as_ref().map(|a| a.as_ref().map(|flow| &**flow)),
+        },
+    };
+    // Bypass jobs skip the *artifact* caches (their deadlines and fault
+    // plans are private to the run), but still share the specialization
+    // cache: it is output-transparent, and its fault seam
+    // (`spec-cache-evict`) is only reachable from a job-level plan.
+    let request = Request {
+        input,
+        config: job.config,
+        guide: job_guide(inner, job),
+        telemetry: inner.telemetry.clone(),
+        spec_cache: Some(&inner.spec_cache),
+        inline_units: inner.inline_units,
+    };
+    let started = Instant::now();
+    let out = run(&request);
+    stats::StatsInner::add_time(&inner.stats.transform_ns, started.elapsed());
+    let out = out?;
+    inner.stats.record_passes(&out.passes);
+    inner.stats.record_decisions(&out.decisions);
+    if let Some((src_key, ..)) = cached {
+        persist_output(inner, job, src_key, &out);
     }
+    Ok(Arc::new(out))
+}
 
+/// A cache-eligible job's inputs from the artifact caches: its source
+/// fingerprint, its lowered program, and — when the configuration
+/// [reuses analyses](PipelineConfig::reuses_analysis) — its flow analysis.
+/// A schedule that opens with a rewrite never consumes a shared analysis
+/// (the rewrite would invalidate it), so there is nothing for the analysis
+/// cache to hold: the schedule computes its own analyses.
+///
+/// # Errors
+///
+/// The source's (cached) frontend rejection.
+fn cached_artifacts(
+    inner: &Inner,
+    job: &Job,
+) -> Result<(u64, Arc<Program>, Option<AnalysisResult>), PipelineError> {
     let src_key = source_fingerprint(&job.source);
     inner.stats.fingerprints_computed.fetch_add(1, Relaxed);
     let chaos = inner.injector.plan().enabled();
@@ -1114,30 +1133,10 @@ fn run_job(inner: &Inner, job: &Job) -> JobResult {
         break artifact;
     };
     let program = artifact.program;
-
-    // A schedule that opens with a rewrite never consumes a shared analysis
-    // (the rewrite would invalidate it — see `run_schedule`'s cache seam),
-    // so there is nothing for the analysis cache to hold: run the transform
-    // tail in-process and let the schedule compute its own analyses.
-    if !job.config.schedule.starts_with_analyze() {
+    if !job.config.reuses_analysis() {
         inner.stats.analysis_uncached.fetch_add(1, Relaxed);
-        let started = Instant::now();
-        let out = optimize_program_runtime(
-            &program,
-            &job.config,
-            job_guide(inner, job),
-            &inner.telemetry,
-            inner.runtime(),
-        );
-        stats::StatsInner::add_time(&inner.stats.transform_ns, started.elapsed());
-        if let Ok(out) = &out {
-            inner.stats.record_passes(&out.passes);
-            inner.stats.record_decisions(&out.decisions);
-            persist_output(inner, job, src_key, out);
-        }
-        return out.map(Arc::new);
+        return Ok((src_key, program, None));
     }
-
     let analysis_started = Instant::now();
     let analysis_program = program.clone();
     let config = job.config;
@@ -1156,25 +1155,7 @@ fn run_job(inner: &Inner, job: &Job) -> JobResult {
     inner
         .telemetry
         .instant("cache.analysis", "cache", &[("hit", hit.to_string())]);
-
-    let transform_started = Instant::now();
-    let shared = match &analysis {
-        Ok(flow) => Ok(&**flow),
-        Err(e) => Err(e),
-    };
-    let out = optimize_program_with_analysis_runtime(
-        &program,
-        &job.config,
-        shared,
-        job_guide(inner, job),
-        &inner.telemetry,
-        inner.runtime(),
-    );
-    stats::StatsInner::add_time(&inner.stats.transform_ns, transform_started.elapsed());
-    inner.stats.record_passes(&out.passes);
-    inner.stats.record_decisions(&out.decisions);
-    persist_output(inner, job, src_key, &out);
-    Ok(Arc::new(out))
+    Ok((src_key, program, Some(analysis)))
 }
 
 #[cfg(test)]

@@ -235,14 +235,11 @@ impl InlineReport {
     }
 }
 
-/// The inliner packaged for `fdi-core`'s unified pass manager: a plain
-/// struct carrying the inliner's knobs. The `Pass` trait itself lives in
-/// `fdi-core`, which implements it over this type.
+/// The inliner's identity in `fdi-core`'s pass schedules: its stable name
+/// and the behaviour-version salt folded into schedule fingerprints (and so
+/// into every cache and store key of a run that inlines).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct InlinePass {
-    /// The inliner's configuration.
-    pub config: InlineConfig,
-}
+pub struct InlinePass;
 
 impl InlinePass {
     /// Stable pass name; also resolves the fault-injection point and the
@@ -250,69 +247,6 @@ impl InlinePass {
     pub const NAME: &'static str = "inline";
     /// Schedule-fingerprint salt for this pass's behaviour version.
     pub const SALT: u64 = 0x1a11_4e01;
-
-    /// One application of the pass: exactly [`inline_program`].
-    pub fn apply(&self, program: &Program, flow: &FlowAnalysis) -> (Program, InlineReport) {
-        inline_program(program, flow, &self.config)
-    }
-
-    /// One application with full decision provenance and telemetry.
-    pub fn apply_recorded(
-        &self,
-        program: &Program,
-        flow: &FlowAnalysis,
-        telemetry: &Telemetry,
-    ) -> InlineOutcome {
-        inline_program_recorded(program, flow, &self.config, telemetry)
-    }
-
-    /// [`InlinePass::apply_recorded`] under an explicit runtime (shared
-    /// specialization cache, parallel units). Output is byte-identical to
-    /// the sequential, cache-free run.
-    pub fn apply_with(
-        &self,
-        program: &Program,
-        flow: &FlowAnalysis,
-        telemetry: &Telemetry,
-        rt: InlineRuntime<'_>,
-    ) -> InlineOutcome {
-        inline_program_with(program, flow, &self.config, rt, telemetry)
-    }
-
-    /// One application under a whole-run size budget with optional
-    /// benefit-ordered priority: exactly [`inline_program_budgeted`].
-    pub fn apply_budgeted(
-        &self,
-        program: &Program,
-        flow: &FlowAnalysis,
-        guide: Option<&InlineGuide>,
-        size_budget: Option<usize>,
-        telemetry: &Telemetry,
-    ) -> InlineOutcome {
-        inline_program_budgeted(program, flow, &self.config, guide, size_budget, telemetry)
-    }
-
-    /// [`InlinePass::apply_budgeted`] under an explicit runtime.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_budgeted_with(
-        &self,
-        program: &Program,
-        flow: &FlowAnalysis,
-        guide: Option<&InlineGuide>,
-        size_budget: Option<usize>,
-        telemetry: &Telemetry,
-        rt: InlineRuntime<'_>,
-    ) -> InlineOutcome {
-        inline_program_budgeted_with(
-            program,
-            flow,
-            &self.config,
-            guide,
-            size_budget,
-            telemetry,
-            rt,
-        )
-    }
 }
 
 /// Everything one inlining run produced: the rewritten program, the
@@ -341,37 +275,27 @@ pub fn inline_program(
     flow: &FlowAnalysis,
     config: &InlineConfig,
 ) -> (Program, InlineReport) {
-    let out = inline_program_recorded(program, flow, config, &Telemetry::off());
-    (out.program, out.report)
-}
-
-/// [`inline_program`] with decision provenance: returns per-call-site
-/// [`DecisionRecord`]s alongside the program, and emits each record (plus an
-/// `inline` span) into `telemetry` when a collector is installed. The
-/// rewritten program and report are byte-identical to [`inline_program`]'s
-/// regardless of the telemetry handle.
-pub fn inline_program_recorded(
-    program: &Program,
-    flow: &FlowAnalysis,
-    config: &InlineConfig,
-    telemetry: &Telemetry,
-) -> InlineOutcome {
-    inline_program_with(
+    let out = inline_program_with(
         program,
         flow,
         config,
         InlineRuntime::sequential(),
-        telemetry,
-    )
+        &Telemetry::off(),
+    );
+    (out.program, out.report)
 }
 
-/// [`inline_program_recorded`] under an explicit [`InlineRuntime`]: a shared
-/// [`SpecializationCache`] memoizes outermost specializations across runs,
-/// and `units > 1` shards the root letrec's bindings across threads. Both
-/// are transparent — the output is byte-identical to the sequential,
-/// cache-free run (replays carry an exact footprint of the ambient facts the
-/// recorded construction consulted, and stale footprints fall back to a live
-/// specialization).
+/// [`inline_program`] with decision provenance, under an explicit
+/// [`InlineRuntime`].
+///
+/// Returns per-call-site [`DecisionRecord`]s alongside the program, and
+/// emits each record into `telemetry` when a collector is installed. A
+/// shared [`SpecializationCache`] memoizes outermost specializations across
+/// runs, and `units > 1` shards the root letrec's bindings across threads.
+/// Neither the telemetry handle nor the runtime changes the output: it is
+/// byte-identical to the sequential, cache-free run (replays carry an exact
+/// footprint of the ambient facts the recorded construction consulted, and
+/// stale footprints fall back to a live specialization).
 pub fn inline_program_with(
     program: &Program,
     flow: &FlowAnalysis,
@@ -388,7 +312,7 @@ pub fn inline_program_with(
     out
 }
 
-/// [`inline_program_recorded`] under a whole-run *size budget*: the total
+/// [`inline_program_with`] under a whole-run *size budget*: the total
 /// specialized size committed across all inlined sites may not exceed
 /// `size_budget`.
 ///
@@ -415,40 +339,21 @@ pub fn inline_program_with(
 /// telemetry.
 ///
 /// With `size_budget == None` there is nothing to gate and this is exactly
-/// [`inline_program_recorded`] — guide or not, the output is byte-identical
-/// to the static run.
+/// [`inline_program_with`] — guide or not, the output is byte-identical to
+/// the static run.
+///
+/// Under a budget, the ungated probe pass may reuse memoized
+/// specializations from `rt`'s cache; gated commit passes always specialize
+/// live (a budget gate changes which nested sites inline, which the memo
+/// footprint does not model).
 pub fn inline_program_budgeted(
     program: &Program,
     flow: &FlowAnalysis,
     config: &InlineConfig,
     guide: Option<&InlineGuide>,
     size_budget: Option<usize>,
-    telemetry: &Telemetry,
-) -> InlineOutcome {
-    inline_program_budgeted_with(
-        program,
-        flow,
-        config,
-        guide,
-        size_budget,
-        telemetry,
-        InlineRuntime::sequential(),
-    )
-}
-
-/// [`inline_program_budgeted`] under an explicit [`InlineRuntime`]. The
-/// ungated probe pass may reuse memoized specializations; gated commit
-/// passes always specialize live (a budget gate changes which nested sites
-/// inline, which the memo footprint does not model).
-#[allow(clippy::too_many_arguments)]
-pub fn inline_program_budgeted_with(
-    program: &Program,
-    flow: &FlowAnalysis,
-    config: &InlineConfig,
-    guide: Option<&InlineGuide>,
-    size_budget: Option<usize>,
-    telemetry: &Telemetry,
     rt: InlineRuntime<'_>,
+    telemetry: &Telemetry,
 ) -> InlineOutcome {
     let Some(budget) = size_budget else {
         return inline_program_with(program, flow, config, rt, telemetry);

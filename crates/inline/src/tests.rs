@@ -1,6 +1,34 @@
-use crate::{inline_program, InlineConfig, InlineMode, InlineReport};
-use fdi_cfa::{analyze, Polyvariance};
+use crate::{
+    inline_program, inline_program_budgeted, inline_program_with, InlineConfig, InlineGuide,
+    InlineMode, InlineOutcome, InlineReport, InlineRuntime,
+};
+use fdi_cfa::{analyze, FlowAnalysis, Polyvariance};
 use fdi_lang::{parse_and_lower, ExprKind, Program};
+use fdi_telemetry::Telemetry;
+
+/// [`inline_program_with`], sequential and without telemetry.
+fn recorded(p: &Program, flow: &FlowAnalysis, cfg: &InlineConfig) -> InlineOutcome {
+    inline_program_with(p, flow, cfg, InlineRuntime::sequential(), &Telemetry::off())
+}
+
+/// [`inline_program_budgeted`], sequential and without telemetry.
+fn budgeted(
+    p: &Program,
+    flow: &FlowAnalysis,
+    cfg: &InlineConfig,
+    guide: Option<&InlineGuide>,
+    size_budget: Option<usize>,
+) -> InlineOutcome {
+    inline_program_budgeted(
+        p,
+        flow,
+        cfg,
+        guide,
+        size_budget,
+        InlineRuntime::sequential(),
+        &Telemetry::off(),
+    )
+}
 
 fn run(src: &str, config: &InlineConfig) -> (Program, InlineReport) {
     let p = parse_and_lower(src).unwrap();
@@ -344,16 +372,14 @@ fn report_counts_are_consistent() {
 
 #[test]
 fn budgeted_without_budget_is_identical() {
-    use crate::{inline_program_budgeted, inline_program_recorded, InlineGuide};
-    use fdi_telemetry::Telemetry;
     let src = "(define (sq x) (* x x)) (define (inc n) (+ n 1)) (cons (sq 7) (inc 1))";
     let p = parse_and_lower(src).unwrap();
     let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
     let cfg = InlineConfig::with_threshold(200);
-    let plain = inline_program_recorded(&p, &flow, &cfg, &Telemetry::off());
+    let plain = recorded(&p, &flow, &cfg);
     let mut guide = InlineGuide::new();
     guide.set("l1", 999);
-    let budgeted = inline_program_budgeted(&p, &flow, &cfg, Some(&guide), None, &Telemetry::off());
+    let budgeted = budgeted(&p, &flow, &cfg, Some(&guide), None);
     assert_eq!(
         fdi_lang::unparse(&plain.program).to_string(),
         fdi_lang::unparse(&budgeted.program).to_string()
@@ -364,15 +390,14 @@ fn budgeted_without_budget_is_identical() {
 
 #[test]
 fn size_budget_caps_committed_specializations() {
-    use crate::{inline_program_budgeted, inline_program_recorded, InlineGuide};
-    use fdi_telemetry::{DecisionReason, Telemetry};
+    use fdi_telemetry::DecisionReason;
     let src = "(define (sq x) (* x x))
                (define (inc n) (+ n 1))
                (cons (sq 7) (inc 1))";
     let p = parse_and_lower(src).unwrap();
     let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
     let cfg = InlineConfig::with_threshold(200);
-    let probe = inline_program_recorded(&p, &flow, &cfg, &Telemetry::off());
+    let probe = recorded(&p, &flow, &cfg);
     let sizes: Vec<(String, usize)> = probe
         .decisions
         .iter()
@@ -386,7 +411,7 @@ fn size_budget_caps_committed_specializations() {
     assert!(sizes.len() >= 2, "{sizes:?}");
     // A budget that fits either specialization alone but never both.
     let budget = sizes.iter().map(|s| s.1).max().unwrap();
-    let stat = inline_program_budgeted(&p, &flow, &cfg, None, Some(budget), &Telemetry::off());
+    let stat = budgeted(&p, &flow, &cfg, None, Some(budget));
     fdi_lang::validate(&stat.program).unwrap();
     assert_eq!(stat.report.sites_inlined, 1, "{:?}", stat.report);
     assert_eq!(stat.report.rejected_budget, 1);
@@ -400,14 +425,7 @@ fn size_budget_caps_committed_specializations() {
     let hot = &sizes[1].0;
     let mut guide = InlineGuide::new();
     guide.set(hot.clone(), 1_000);
-    let guided = inline_program_budgeted(
-        &p,
-        &flow,
-        &cfg,
-        Some(&guide),
-        Some(budget),
-        &Telemetry::off(),
-    );
+    let guided = budgeted(&p, &flow, &cfg, Some(&guide), Some(budget));
     fdi_lang::validate(&guided.program).unwrap();
     assert_eq!(guided.report.sites_inlined, 1, "{:?}", guided.report);
     assert!(guided
@@ -436,8 +454,6 @@ fn size_budget_caps_committed_specializations() {
 
 #[test]
 fn budgeted_runs_are_deterministic() {
-    use crate::{inline_program_budgeted, InlineGuide};
-    use fdi_telemetry::Telemetry;
     let src = "(define (twice f x) (f (f x)))
                (define (add1 n) (+ n 1))
                (define (sq x) (* x x))
@@ -448,8 +464,8 @@ fn budgeted_runs_are_deterministic() {
     let mut guide = InlineGuide::new();
     guide.set("l9", 70);
     guide.set("l12", 50);
-    let a = inline_program_budgeted(&p, &flow, &cfg, Some(&guide), Some(30), &Telemetry::off());
-    let b = inline_program_budgeted(&p, &flow, &cfg, Some(&guide), Some(30), &Telemetry::off());
+    let a = budgeted(&p, &flow, &cfg, Some(&guide), Some(30));
+    let b = budgeted(&p, &flow, &cfg, Some(&guide), Some(30));
     assert_eq!(
         fdi_lang::unparse(&a.program).to_string(),
         fdi_lang::unparse(&b.program).to_string()
@@ -482,15 +498,14 @@ fn outcome_fingerprint(out: &crate::InlineOutcome) -> (String, InlineReport, usi
 
 #[test]
 fn spec_cache_sweep_is_byte_identical_and_hits() {
-    use crate::{inline_program_with, InlineRuntime, SpecializationCache};
-    use fdi_telemetry::Telemetry;
+    use crate::SpecializationCache;
     let p = parse_and_lower(CACHE_SRC).unwrap();
     let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
     let cache = SpecializationCache::unbounded();
     let salt = 0xfeed_beef_u64;
     for &t in &[0usize, 50, 100, 200, 500, 1000] {
         let cfg = InlineConfig::with_threshold(t);
-        let base = crate::inline_program_recorded(&p, &flow, &cfg, &Telemetry::off());
+        let base = recorded(&p, &flow, &cfg);
         let rt = InlineRuntime {
             cache: Some((&cache, salt)),
             units: 1,
@@ -520,8 +535,7 @@ fn spec_cache_sweep_is_byte_identical_and_hits() {
 
 #[test]
 fn spec_cache_salt_separates_sources() {
-    use crate::{inline_program_with, InlineRuntime, SpecializationCache};
-    use fdi_telemetry::Telemetry;
+    use crate::SpecializationCache;
     let cache = SpecializationCache::unbounded();
     let cfg = InlineConfig::with_threshold(200);
     for (salt, src) in [
@@ -530,7 +544,7 @@ fn spec_cache_salt_separates_sources() {
     ] {
         let p = parse_and_lower(src).unwrap();
         let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
-        let base = crate::inline_program_recorded(&p, &flow, &cfg, &Telemetry::off());
+        let base = recorded(&p, &flow, &cfg);
         let rt = InlineRuntime {
             cache: Some((&cache, salt)),
             units: 1,
@@ -542,13 +556,12 @@ fn spec_cache_salt_separates_sources() {
 
 #[test]
 fn spec_cache_clear_mid_sweep_is_transparent() {
-    use crate::{inline_program_with, InlineRuntime, SpecializationCache};
-    use fdi_telemetry::Telemetry;
+    use crate::SpecializationCache;
     let p = parse_and_lower(CACHE_SRC).unwrap();
     let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
     let cache = SpecializationCache::unbounded();
     let cfg = InlineConfig::with_threshold(200);
-    let base = crate::inline_program_recorded(&p, &flow, &cfg, &Telemetry::off());
+    let base = recorded(&p, &flow, &cfg);
     let rt = InlineRuntime {
         cache: Some((&cache, 7)),
         units: 1,
@@ -563,13 +576,11 @@ fn spec_cache_clear_mid_sweep_is_transparent() {
 
 #[test]
 fn parallel_units_are_byte_identical() {
-    use crate::{inline_program_with, InlineRuntime};
-    use fdi_telemetry::Telemetry;
     let p = parse_and_lower(CACHE_SRC).unwrap();
     let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
     for &t in &[0usize, 100, 200, 500] {
         let cfg = InlineConfig::with_threshold(t);
-        let base = crate::inline_program_recorded(&p, &flow, &cfg, &Telemetry::off());
+        let base = recorded(&p, &flow, &cfg);
         for units in [2usize, 4, 8] {
             let rt = InlineRuntime { cache: None, units };
             let par = inline_program_with(&p, &flow, &cfg, rt, &Telemetry::off());
@@ -588,14 +599,13 @@ fn parallel_units_are_byte_identical() {
 
 #[test]
 fn cache_and_units_compose_byte_identically() {
-    use crate::{inline_program_with, InlineRuntime, SpecializationCache};
-    use fdi_telemetry::Telemetry;
+    use crate::SpecializationCache;
     let p = parse_and_lower(CACHE_SRC).unwrap();
     let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
     let cache = SpecializationCache::unbounded();
     for &t in &[100usize, 200, 500] {
         let cfg = InlineConfig::with_threshold(t);
-        let base = crate::inline_program_recorded(&p, &flow, &cfg, &Telemetry::off());
+        let base = recorded(&p, &flow, &cfg);
         let rt = InlineRuntime {
             cache: Some((&cache, 3)),
             units: 4,
@@ -612,29 +622,24 @@ fn cache_and_units_compose_byte_identically() {
 
 #[test]
 fn budgeted_with_cache_runtime_is_identical() {
-    use crate::{
-        inline_program_budgeted, inline_program_budgeted_with, InlineRuntime, SpecializationCache,
-    };
-    use fdi_telemetry::Telemetry;
+    use crate::SpecializationCache;
     let p = parse_and_lower(CACHE_SRC).unwrap();
     let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
     let cfg = InlineConfig::with_threshold(300);
     let cache = SpecializationCache::unbounded();
-    let base = inline_program_budgeted(&p, &flow, &cfg, None, Some(40), &Telemetry::off());
+    let base = budgeted(&p, &flow, &cfg, None, Some(40));
     let rt = InlineRuntime {
         cache: Some((&cache, 11)),
         units: 2,
     };
-    let cached =
-        inline_program_budgeted_with(&p, &flow, &cfg, None, Some(40), &Telemetry::off(), rt);
+    let cached = inline_program_budgeted(&p, &flow, &cfg, None, Some(40), rt, &Telemetry::off());
     assert_eq!(outcome_fingerprint(&base), outcome_fingerprint(&cached));
     assert_eq!(base.decisions, cached.decisions);
 }
 
 #[test]
 fn spec_cache_ledger_sheds_under_pressure() {
-    use crate::{inline_program_with, CacheLedger, InlineRuntime, SpecializationCache};
-    use fdi_telemetry::Telemetry;
+    use crate::{CacheLedger, SpecializationCache};
     use std::sync::atomic::{AtomicUsize, Ordering};
     struct TinyLedger {
         used: AtomicUsize,
@@ -658,7 +663,7 @@ fn spec_cache_ledger_sheds_under_pressure() {
     let p = parse_and_lower(CACHE_SRC).unwrap();
     let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
     let cfg = InlineConfig::with_threshold(500);
-    let base = crate::inline_program_recorded(&p, &flow, &cfg, &Telemetry::off());
+    let base = recorded(&p, &flow, &cfg);
     let rt = InlineRuntime {
         cache: Some((&cache, 5)),
         units: 1,

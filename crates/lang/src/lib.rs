@@ -33,7 +33,6 @@ mod expand;
 mod fv;
 mod intern;
 mod lower;
-mod passes;
 mod prelude;
 mod prims;
 mod size;
@@ -47,7 +46,6 @@ pub use expand::{expand_expr_standalone, expand_program, ExpandError};
 pub use fv::{free_vars_of_lambda, FreeVars};
 pub use intern::{Interner, Sym};
 pub use lower::{lower_program, LowerError};
-pub use passes::{ExpandPass, LowerPass, ParsePass, UnparsePass, ValidatePass};
 pub use prelude::{with_prelude, PRELUDE};
 pub use prims::{ArgKind, PrimOp, PrimSig};
 pub use size::{expr_size, node_size};

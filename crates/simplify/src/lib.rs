@@ -50,14 +50,12 @@ pub fn simplify(program: &Program) -> (Program, SimplifyStats) {
     out
 }
 
-/// The simplifier packaged for `fdi-core`'s unified pass manager: a plain
-/// struct carrying the pass's one knob. The `Pass` trait itself lives in
-/// `fdi-core`, which implements it over this type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimplifyPass {
-    /// Bound on rebuild iterations per application.
-    pub iters: usize,
-}
+/// The simplifier's identity in `fdi-core`'s pass schedules: its stable
+/// name and the behaviour-version salt folded into schedule fingerprints
+/// (and so into every cache and store key of a run that simplifies). The
+/// pass manager calls [`simplify_n`] directly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimplifyPass;
 
 impl SimplifyPass {
     /// Stable pass name; also resolves the fault-injection point and the
@@ -65,19 +63,6 @@ impl SimplifyPass {
     pub const NAME: &'static str = "simplify";
     /// Schedule-fingerprint salt for this pass's behaviour version.
     pub const SALT: u64 = 0x51a9_11f1;
-
-    /// One application of the pass: exactly [`simplify_n`].
-    pub fn apply(&self, program: &Program) -> (Program, SimplifyStats) {
-        simplify_n(program, self.iters)
-    }
-}
-
-impl Default for SimplifyPass {
-    fn default() -> SimplifyPass {
-        SimplifyPass {
-            iters: DEFAULT_ITERS,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! (`optimize`, `run`, `analyze`, `explain`, `profile`).
 
 use fdi_core::{
-    optimize_guided, Budget, FaultPlan, OracleConfig, PipelineConfig, PipelineOutput, Polyvariance,
+    run, Budget, FaultPlan, OracleConfig, PipelineConfig, PipelineOutput, Polyvariance, Request,
     Schedule, Telemetry,
 };
 use fdi_profile::Profile;
@@ -310,15 +310,20 @@ impl Options {
             config.profile_fp = Some(p.fingerprint());
             p.guide()
         });
-        // `--strict` keeps `optimize_strict`'s contract: degrade-run the
-        // pipeline, then surface the first recorded phase failure as an error.
-        let result =
-            optimize_guided(src, &config, guide.as_ref(), &telemetry).and_then(|out| {
-                match (self.strict, out.health.first_error()) {
-                    (true, Some(e)) => Err(e.clone()),
-                    _ => Ok(out),
-                }
-            });
+        // `--strict`: degrade-run the pipeline, then surface the first
+        // recorded phase failure as an error.
+        let result = run(&Request {
+            guide: guide.as_ref(),
+            telemetry: telemetry.clone(),
+            ..Request::source(src, config)
+        })
+        .and_then(|out| {
+            if self.strict {
+                out.into_strict()
+            } else {
+                Ok(out)
+            }
+        });
         if let (Some(path), Some(sink)) = (&self.trace_out, &sink) {
             // Export even on failure: a trace of the run up to the error is
             // exactly what the file is for.

@@ -2,7 +2,7 @@
 //! pipeline output must behave exactly like the baseline — same value, same
 //! output, and it must never turn a successful program into a failing one.
 
-use fdi_core::{optimize_program_strict, PipelineConfig, RunConfig};
+use fdi_core::{optimize_program, PipelineConfig, RunConfig};
 use fdi_testutil::{check, Rng};
 
 /// A tiny generator of closed Scheme programs. Expressions are built from a
@@ -82,7 +82,8 @@ fn optimizer_preserves_behavior() {
             Ok(p) => p,
             Err(e) => panic!("generated program failed to lower: {e}\n{src}"),
         };
-        let out = optimize_program_strict(&program, &PipelineConfig::with_threshold(t))
+        let out = optimize_program(&program, &PipelineConfig::with_threshold(t))
+            .and_then(|out| out.into_strict())
             .unwrap_or_else(|e| panic!("pipeline failed: {e}\n{src}"));
         let base = run(&out.baseline);
         let opt = run(&out.optimized);
@@ -109,7 +110,9 @@ fn optimizer_output_is_well_formed() {
         let src = arb_program(rng);
         let t = rng.index(600);
         let program = fdi_lang::parse_and_lower(&src).unwrap();
-        let out = optimize_program_strict(&program, &PipelineConfig::with_threshold(t)).unwrap();
+        let out = optimize_program(&program, &PipelineConfig::with_threshold(t))
+            .and_then(|out| out.into_strict())
+            .unwrap();
         assert!(fdi_lang::validate(&out.optimized).is_ok());
         // And the output unparses to something that re-lowers.
         let printed = fdi_lang::unparse(&out.optimized).to_string();

@@ -66,13 +66,8 @@ fn bench_source() -> String {
 /// A size budget that binds: half the specialized size an unbudgeted run
 /// commits, exactly how `bench_snapshot` picks its budgets.
 fn binding_budget(src: &str) -> usize {
-    let out = fdi_core::optimize_guided(
-        src,
-        &fdi_core::PipelineConfig::default(),
-        None,
-        &fdi_core::Telemetry::off(),
-    )
-    .expect("unbudgeted run succeeds");
+    let out = fdi_core::optimize(src, &fdi_core::PipelineConfig::default())
+        .expect("unbudgeted run succeeds");
     let total: usize = out
         .decisions
         .iter()

@@ -7,8 +7,7 @@
 //! change, not just a flipped flag.
 
 use fdi_core::{
-    optimize, optimize_instrumented, DecisionReason, DecisionRecord, PipelineConfig, Telemetry,
-    Verdict,
+    optimize, run, DecisionReason, DecisionRecord, PipelineConfig, Request, Telemetry, Verdict,
 };
 use fdi_telemetry::{validate_chrome_trace, RingSink};
 use std::sync::Arc;
@@ -154,7 +153,11 @@ fn collector_on_and_off_outputs_are_byte_identical() {
         let off = optimize(src, &config).expect("collector-off pipeline");
         let sink = Arc::new(RingSink::default());
         let telemetry = Telemetry::with_collector(sink.clone());
-        let on = optimize_instrumented(src, &config, &telemetry).expect("collector-on pipeline");
+        let on = run(&Request {
+            telemetry,
+            ..Request::source(src, config)
+        })
+        .expect("collector-on pipeline");
         assert!(!sink.is_empty(), "collector saw no events for {src:?}");
         assert_eq!(
             fdi_sexpr::pretty(&fdi_lang::unparse(&off.optimized)),
@@ -173,11 +176,13 @@ fn collector_on_and_off_outputs_are_byte_identical() {
 fn pipeline_chrome_trace_validates() {
     let sink = Arc::new(RingSink::default());
     let telemetry = Telemetry::with_collector(sink.clone());
-    let out = optimize_instrumented(
-        "(define (sq x) (* x x)) (sq 7)",
-        &PipelineConfig::with_threshold(200),
-        &telemetry,
-    )
+    let out = run(&Request {
+        telemetry,
+        ..Request::source(
+            "(define (sq x) (* x x)) (sq 7)",
+            PipelineConfig::with_threshold(200),
+        )
+    })
     .expect("pipeline");
     assert_eq!(out.decisions.len(), 1);
 
