@@ -10,9 +10,24 @@
 //! its arguments down to the top continuation's height, so tail calls run
 //! in constant stack. Pairs, vectors, closures, and strings live in
 //! append-only heaps whose allocation volume feeds the simulated collector
-//! cost (see [`crate::CostModel`]).
+//! cost (see [`crate::CostModel`]); every closure's captured values sit in
+//! one shared arena, at the closure record's `start..start + len`.
+//!
+//! # Step accounting
+//!
+//! Every step of the driver loop costs one unit of fuel, and the run's step
+//! count is the fuel it consumed. A call-free tree in operand position (an
+//! operand of a call, primitive or `let`, or an `if` test) is evaluated in
+//! place, without a continuation, when at least its
+//! [`simple_cost`](Resolved::simple_cost) of fuel remains. It is charged
+//! in the order the loop would charge it — one step on entering a
+//! primitive, two per constant or variable, then the primitive is applied,
+//! then one step for returning its value — so a run-time error inside the
+//! tree reports the loop's counters. With less fuel left the tree takes the
+//! loop's path, so out-of-fuel fires at exactly the same step.
 
 use crate::cost::{CostModel, Counters};
+use crate::prims::check_table;
 use crate::resolve::{resolve, Code, LambdaCode, Resolved, VarRef};
 use crate::value::{ClosId, PairId, StrId, Value, VecId};
 use fdi_lang::{Const, Label, Program, Sym};
@@ -98,19 +113,27 @@ pub fn run_with_checks(
     safe_checks: Option<&HashSet<(Label, usize)>>,
 ) -> Result<Outcome, VmError> {
     let resolved = resolve(program);
-    let mut m = Machine::new(program, &resolved, config);
-    m.safe_checks = safe_checks;
-    m.run()
+    Machine::new(program, &resolved, config, safe_checks).run()
 }
 
-/// [`run`] under the default configuration, also reporting the value
-/// stack's capacity at the end: an upper bound on its high-water mark.
+/// What a test can see of a run besides its outcome.
 #[cfg(test)]
-pub(crate) fn run_measuring_stack(program: &Program) -> Result<(Outcome, usize), VmError> {
+#[derive(Default)]
+pub(crate) struct Probe {
+    /// The value stack's capacity at the end: an upper bound on its
+    /// high-water mark.
+    pub(crate) stack_capacity: usize,
+    /// Continuations pushed over the whole run.
+    pub(crate) kont_pushes: u64,
+}
+
+/// [`run`] under the default configuration, also reporting its [`Probe`].
+#[cfg(test)]
+pub(crate) fn run_probed(program: &Program) -> Result<(Outcome, Probe), VmError> {
     let resolved = resolve(program);
-    let mut m = Machine::new(program, &resolved, &RunConfig::default());
+    let mut m = Machine::new(program, &resolved, &RunConfig::default(), None);
     let outcome = m.run()?;
-    Ok((outcome, m.stack_capacity))
+    Ok((outcome, m.probe))
 }
 
 /// One call site's dynamic execution totals, as gathered by [`run_profiled`].
@@ -144,7 +167,7 @@ pub fn run_profiled(
     config: &RunConfig,
 ) -> Result<(Outcome, Vec<SiteCost>), VmError> {
     let resolved = resolve(program);
-    let mut m = Machine::new(program, &resolved, config);
+    let mut m = Machine::new(program, &resolved, config, None);
     m.sites = Some(HashMap::new());
     let outcome = m.run()?;
     let mut sites: Vec<SiteCost> = m
@@ -178,7 +201,8 @@ struct Kont {
     fp: u32,
     /// Value-stack height it keeps alive: its frames and operands so far.
     sp: u32,
-    clo: Option<ClosId>,
+    /// The running closure's captures when it was pushed.
+    caps: u32,
 }
 
 /// What the machine does next: evaluate the expression at a label, or
@@ -192,18 +216,25 @@ struct Regs {
     /// Frame records; the current environment is the last one.
     frames: Vec<Frame>,
     kont: Vec<Kont>,
-    /// The running closure (`None` at top level).
-    clo: Option<ClosId>,
+    /// Where the running closure's captures start in the capture arena
+    /// (unused at top level, where nothing is captured).
+    caps: u32,
+    #[cfg(test)]
+    kont_pushes: u64,
 }
 
 impl Regs {
     fn push_kont(&mut self, label: Label, next: usize) {
+        #[cfg(test)]
+        {
+            self.kont_pushes += 1;
+        }
         self.kont.push(Kont {
             label,
             next: next as u32,
             fp: self.frames.len() as u32,
             sp: self.stack.len() as u32,
-            clo: self.clo,
+            caps: self.caps,
         });
     }
 
@@ -212,7 +243,7 @@ impl Regs {
     fn restore(&mut self, k: &Kont) {
         self.stack.truncate(k.sp as usize);
         self.frames.truncate(k.fp as usize);
-        self.clo = k.clo;
+        self.caps = k.caps;
     }
 
     /// Makes the slots from `base` to the top a frame inside the current one.
@@ -225,22 +256,33 @@ impl Regs {
     }
 }
 
-pub(crate) struct ClosureData {
-    pub(crate) lambda: Label,
-    pub(crate) captures: Box<[Cell<Value>]>,
+/// A closure record: its λ and its captured values,
+/// `captures[start..start + len]` in the machine's capture arena.
+#[derive(Clone, Copy)]
+struct ClosureData {
+    lambda: Label,
+    start: u32,
+    len: u32,
 }
 
 pub(crate) struct Machine<'p> {
     pub(crate) program: &'p Program,
-    pub(crate) safe_checks: Option<&'p HashSet<(Label, usize)>>,
+    /// Tag checks per primitive label (see [`check_table`]).
+    pub(crate) checks: Vec<u32>,
     res: &'p Resolved,
     pub(crate) pairs: Vec<(Cell<Value>, Cell<Value>)>,
     pub(crate) vectors: Vec<Vec<Cell<Value>>>,
-    pub(crate) closures: Vec<ClosureData>,
+    closures: Vec<ClosureData>,
+    /// Every closure's captured values, one run after another.
+    captures: Vec<Value>,
     pub(crate) strings: Vec<String>,
     str_of_sym: HashMap<Sym, StrId>,
+    /// Cost counters, except `steps`, which [`Self::counters`] derives
+    /// from the fuel.
     pub(crate) counters: Counters,
     pub(crate) model: CostModel,
+    /// Fuel at the start of the run.
+    start_fuel: u64,
     fuel: u64,
     pub(crate) rng: u64,
     pub(crate) output: String,
@@ -248,38 +290,54 @@ pub(crate) struct Machine<'p> {
     /// Per-call-site `(calls, cost)` attribution; `Some` only under
     /// [`run_profiled`].
     sites: Option<HashMap<Label, (u64, u64)>>,
-    /// Value-stack capacity at the end of a successful run.
     #[cfg(test)]
-    stack_capacity: usize,
+    probe: Probe,
 }
 
 impl<'p> Machine<'p> {
-    pub(crate) fn new(program: &'p Program, res: &'p Resolved, config: &RunConfig) -> Machine<'p> {
+    /// A machine about to run `res`, with the tag checks at `safe_checks`
+    /// exempt from charges.
+    fn new(
+        program: &'p Program,
+        res: &'p Resolved,
+        config: &RunConfig,
+        safe_checks: Option<&HashSet<(Label, usize)>>,
+    ) -> Machine<'p> {
         Machine {
             program,
-            safe_checks: None,
+            checks: check_table(res, safe_checks),
             res,
             pairs: Vec::new(),
             vectors: Vec::new(),
             closures: Vec::new(),
+            captures: Vec::new(),
             strings: Vec::new(),
             str_of_sym: HashMap::new(),
             counters: Counters::default(),
             model: config.model,
+            start_fuel: config.fuel,
             fuel: config.fuel,
             rng: config.seed,
             output: String::new(),
             max_output: config.max_output,
             sites: None,
             #[cfg(test)]
-            stack_capacity: 0,
+            probe: Probe::default(),
+        }
+    }
+
+    /// The counters so far; every step consumed one unit of fuel.
+    fn counters(&self) -> Counters {
+        Counters {
+            steps: self.start_fuel - self.fuel,
+            ..self.counters
         }
     }
 
     pub(crate) fn error<T>(&self, message: impl Into<String>) -> Result<T, VmError> {
         Err(VmError {
             message: message.into(),
-            counters: self.counters,
+            counters: self.counters(),
         })
     }
 
@@ -305,10 +363,16 @@ impl<'p> Machine<'p> {
         Value::Str(StrId((self.strings.len() - 1) as u32))
     }
 
-    fn alloc_closure(&mut self, lambda: Label, captures: Box<[Cell<Value>]>) -> Value {
-        self.counters.words_allocated += self.model.closure_base_words + captures.len() as u64;
+    /// Allocates a closure over the captures pushed since `start`.
+    fn alloc_closure(&mut self, lambda: Label, start: usize) -> Value {
+        let len = self.captures.len() - start;
+        self.counters.words_allocated += self.model.closure_base_words + len as u64;
         self.counters.closures_made += 1;
-        self.closures.push(ClosureData { lambda, captures });
+        self.closures.push(ClosureData {
+            lambda,
+            start: start as u32,
+            len: len as u32,
+        });
         Value::Closure(ClosId((self.closures.len() - 1) as u32))
     }
 
@@ -353,17 +417,8 @@ impl<'p> Machine<'p> {
                 }
                 r.stack[r.frames[f].base as usize + slot as usize]
             }
-            VarRef::Capture(i) => {
-                let c = r.clo.expect("capture read outside closure");
-                self.closures[c.0 as usize].captures[i as usize].get()
-            }
+            VarRef::Capture(i) => self.captures[r.caps as usize + i as usize],
         }
-    }
-
-    fn capture_values(&self, plan: &[VarRef], r: &Regs) -> Box<[Cell<Value>]> {
-        plan.iter()
-            .map(|&vr| Cell::new(self.lookup(vr, r)))
-            .collect()
     }
 
     // --- the driver loop ----------------------------------------------------
@@ -376,7 +431,9 @@ impl<'p> Machine<'p> {
                 parent: NO_FRAME,
             }],
             kont: Vec::new(),
-            clo: None,
+            caps: 0,
+            #[cfg(test)]
+            kont_pushes: 0,
         };
         let mut control: Control = Ok(self.res.root());
         loop {
@@ -384,18 +441,20 @@ impl<'p> Machine<'p> {
                 return self.error("out of fuel");
             }
             self.fuel -= 1;
-            self.counters.steps += 1;
             control = match control {
                 Ok(label) => self.eval(label, &mut r)?,
                 Err(value) => {
                     let Some(k) = r.kont.pop() else {
                         #[cfg(test)]
                         {
-                            self.stack_capacity = r.stack.capacity();
+                            self.probe = Probe {
+                                stack_capacity: r.stack.capacity(),
+                                kont_pushes: r.kont_pushes,
+                            };
                         }
                         return Ok(Outcome {
                             value: self.render(value, true),
-                            counters: self.counters,
+                            counters: self.counters(),
                             output: std::mem::take(&mut self.output),
                         });
                     };
@@ -424,36 +483,45 @@ impl<'p> Machine<'p> {
                 }
                 Ok(parts[0])
             }
-            Code::If(c, _, _) => {
-                r.push_kont(label, 0);
-                Ok(*c)
+            Code::If(c, t, e) => {
+                if self.push_simple(*c, r)? {
+                    let test = r.stack.pop().expect("the test's value was pushed");
+                    self.branch(test, *t, *e)
+                } else {
+                    r.push_kont(label, 0);
+                    Ok(*c)
+                }
             }
             Code::Letrec(lambdas, body) => {
                 self.counters.mutator += self.model.let_per_binding * lambdas.len() as u64;
-                // Allocate every closure record, then fill the captures in
-                // place: each may capture any sibling through the frame.
+                // Reserve every closure's captures, then fill them in place:
+                // each may capture any sibling through the frame.
                 let base = r.stack.len();
+                let first = self.captures.len();
                 for &f in lambdas {
+                    let start = self.captures.len();
                     let slots = self.lambda_code(f).capture_plan.len();
-                    let caps = (0..slots).map(|_| Cell::new(Value::Unspec)).collect();
-                    let v = self.alloc_closure(f, caps);
+                    self.captures.resize(start + slots, Value::Unspec);
+                    let v = self.alloc_closure(f, start);
                     r.stack.push(v);
                 }
                 r.push_frame(base);
-                for (&f, &v) in lambdas.iter().zip(&r.stack[base..]) {
-                    let Value::Closure(cid) = v else {
-                        unreachable!()
-                    };
-                    let plan = &self.lambda_code(f).capture_plan;
-                    for (cell, &vr) in self.closures[cid.0 as usize].captures.iter().zip(plan) {
-                        cell.set(self.lookup(vr, r));
+                let mut slot = first;
+                for &f in lambdas {
+                    for &vr in &self.lambda_code(f).capture_plan {
+                        self.captures[slot] = self.lookup(vr, r);
+                        slot += 1;
                     }
                 }
                 Ok(*body)
             }
             Code::Lambda(lc) => {
-                let caps = self.capture_values(&lc.capture_plan, r);
-                Err(self.alloc_closure(label, caps))
+                let start = self.captures.len();
+                for &vr in &lc.capture_plan {
+                    let v = self.lookup(vr, r);
+                    self.captures.push(v);
+                }
+                Err(self.alloc_closure(label, start))
             }
             Code::ClRef(e, _) => {
                 r.push_kont(label, 0);
@@ -490,10 +558,7 @@ impl<'p> Machine<'p> {
                 }
                 Ok(parts[next])
             }
-            Code::If(_, t, e) => {
-                self.counters.mutator += self.model.if_cost;
-                Ok(if value.is_truthy() { *t } else { *e })
-            }
+            Code::If(_, t, e) => self.branch(value, *t, *e),
             Code::ClRef(_, index) => {
                 self.counters.mutator += self.model.cl_ref_cost;
                 let Value::Closure(cid) = value else {
@@ -502,11 +567,11 @@ impl<'p> Machine<'p> {
                         value.type_name()
                     ));
                 };
-                let caps = &self.closures[cid.0 as usize].captures;
-                let Some(cell) = caps.get(*index as usize) else {
+                let clo = self.closures[cid.0 as usize];
+                if *index >= clo.len {
                     return self.error("cl-ref: index out of range");
-                };
-                Err(cell.get())
+                }
+                Err(self.captures[(clo.start + index) as usize])
             }
             other => unreachable!("no continuation at {other:?}"),
         })
@@ -525,12 +590,9 @@ impl<'p> Machine<'p> {
     ) -> Result<Control, VmError> {
         while let Some(&e) = ops.get(next) {
             next += 1;
-            match self.atom(e, r) {
-                Some(v) => r.stack.push(v),
-                None => {
-                    r.push_kont(label, next);
-                    return Ok(Ok(e));
-                }
+            if !self.push_simple(e, r)? {
+                r.push_kont(label, next);
+                return Ok(Ok(e));
             }
         }
         let base = r.stack.len() - ops.len();
@@ -546,23 +608,53 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// The value of `e` when it is a constant or a variable, charged the two
-    /// steps the loop would take to evaluate it and return it. `None` for
-    /// other expressions, and when less than two steps of fuel remain (so
-    /// out-of-fuel fires at the same step as without this shortcut).
+    /// An `if` whose test gave `test` picks its branch.
     #[inline(always)]
-    fn atom(&mut self, e: Label, r: &Regs) -> Option<Value> {
-        if self.fuel < 2 {
-            return None;
+    fn branch(&mut self, test: Value, then: Label, els: Label) -> Control {
+        self.counters.mutator += self.model.if_cost;
+        Ok(if test.is_truthy() { then } else { els })
+    }
+
+    /// Pushes the value of `e`, evaluated in place, when it is a call-free
+    /// tree and enough fuel remains to charge all its steps; `false`
+    /// otherwise, for the loop to evaluate it step by step.
+    #[inline(always)]
+    fn push_simple(&mut self, e: Label, r: &mut Regs) -> Result<bool, VmError> {
+        let cost = self.res.simple_cost(e);
+        if cost == 0 || self.fuel < u64::from(cost) {
+            return Ok(false);
         }
+        self.eval_simple(e, r)?;
+        Ok(true)
+    }
+
+    /// Pushes the value of the call-free tree at `e`, charging its steps
+    /// in the loop's order. The caller has checked that the fuel suffices.
+    #[inline(always)]
+    fn eval_simple(&mut self, e: Label, r: &mut Regs) -> Result<(), VmError> {
         let v = match self.res.code(e) {
             Code::Const(c) => self.value_of_const(*c),
             Code::Var(vr) => self.lookup(*vr, r),
-            _ => return None,
+            Code::Prim(_, ops) => return self.eval_simple_prim(e, ops, r),
+            other => unreachable!("not a call-free tree: {other:?}"),
         };
         self.fuel -= 2;
-        self.counters.steps += 2;
-        Some(v)
+        r.stack.push(v);
+        Ok(())
+    }
+
+    /// [`Self::eval_simple`] on a primitive application `e`.
+    fn eval_simple_prim(&mut self, e: Label, ops: &[Label], r: &mut Regs) -> Result<(), VmError> {
+        self.fuel -= 1;
+        let base = r.stack.len();
+        for &op in ops {
+            self.eval_simple(op, r)?;
+        }
+        let v = self.apply_prim(e, &r.stack[base..])?;
+        r.stack.truncate(base);
+        r.stack.push(v);
+        self.fuel -= 1;
+        Ok(())
     }
 
     /// Performs a procedure call on the top `argc` stack values: arity
@@ -580,8 +672,8 @@ impl<'p> Machine<'p> {
         let Value::Closure(cid) = f else {
             return self.error(format!("call: expected procedure, got {}", f.type_name()));
         };
-        let lambda = self.closures[cid.0 as usize].lambda;
-        let lc = self.lambda_code(lambda);
+        let clo = self.closures[cid.0 as usize];
+        let lc = self.lambda_code(clo.lambda);
         if argc < lc.params || (!lc.rest && argc != lc.params) {
             return self.error(format!(
                 "call: procedure expects {}{} arguments, got {}",
@@ -619,7 +711,7 @@ impl<'p> Machine<'p> {
             base: sp as u32,
             parent: NO_FRAME,
         });
-        r.clo = Some(cid);
+        r.caps = clo.start;
         Ok(lc.body)
     }
 

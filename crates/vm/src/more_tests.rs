@@ -1,7 +1,7 @@
 //! Additional machine-level tests: closure representation, environment
 //! behaviour, primitive edge cases, and check accounting.
 
-use crate::machine::run_measuring_stack;
+use crate::machine::run_probed;
 use crate::{run, run_with_checks, CostModel, RunConfig};
 use fdi_lang::parse_and_lower;
 use std::collections::HashSet;
@@ -60,8 +60,9 @@ fn deep_non_tail_recursion_uses_heap_continuations() {
     let src = "
         (define (sum n) (if (zero? n) 0 (+ n (sum (- n 1)))))
         (sum 100000)";
-    let (out, stack) = run_measuring_stack(&parse_and_lower(src).unwrap()).unwrap();
+    let (out, probe) = run_probed(&parse_and_lower(src).unwrap()).unwrap();
     assert_eq!(out.value, "5000050000");
+    let stack = probe.stack_capacity;
     assert!(stack >= 100_000, "stack capacity {stack}");
 }
 
@@ -69,8 +70,9 @@ fn deep_non_tail_recursion_uses_heap_continuations() {
 const LOOP_STACK_BOUND: usize = 64;
 
 fn assert_bounded_stack(src: &str, expected: &str) {
-    let (out, stack) = run_measuring_stack(&parse_and_lower(src).unwrap()).unwrap();
+    let (out, probe) = run_probed(&parse_and_lower(src).unwrap()).unwrap();
     assert_eq!(out.value, expected);
+    let stack = probe.stack_capacity;
     assert!(
         stack <= LOOP_STACK_BOUND,
         "stack capacity {stack} after 1M tail calls"
@@ -111,6 +113,40 @@ fn letrec_mutual_recursion_runs_in_bounded_stack() {
            (ev? 1000001))",
         "#f",
     );
+}
+
+/// The value of `src` and the continuations its run pushed.
+fn value_and_kont_pushes(src: &str) -> (String, u64) {
+    let (out, probe) = run_probed(&parse_and_lower(src).unwrap()).unwrap();
+    (out.value, probe.kont_pushes)
+}
+
+#[test]
+fn call_free_operand_trees_push_no_continuation() {
+    // Step by step, each compound operand of the call and of `+` would push
+    // one; evaluated in place, the tree costs no more than a variable.
+    let with = |arg: &str| {
+        value_and_kont_pushes(&format!(
+            "(define (f x) x) (let ((a 2) (b 3) (c 7) (d 4)) (f {arg}))"
+        ))
+    };
+    let (value, tree) = with("(+ (* a b) (- c d))");
+    assert_eq!(value, "9");
+    assert_eq!(tree, with("a").1);
+}
+
+#[test]
+fn call_free_if_tests_push_no_continuation() {
+    // A hundred iterations push no more continuations than none: neither
+    // the test `(< i n)` nor the call's operand `(+ i 1)` needs one.
+    let looped = |n: u32| {
+        value_and_kont_pushes(&format!(
+            "(define (loop i n) (if (< i n) (loop (+ i 1) n) i)) (loop 0 {n})"
+        ))
+    };
+    let (value, pushes) = looped(100);
+    assert_eq!(value, "100");
+    assert_eq!(pushes, looped(0).1);
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! Concrete primitive semantics for the machine.
 
 use crate::machine::{Machine, VmError};
+use crate::resolve::{Code, Resolved};
 use crate::value::Value;
 use fdi_lang::{Label, PrimOp};
+use std::collections::HashSet;
 
 macro_rules! numeric_fold {
     ($self:ident, $vals:expr, $int_op:expr, $float_op:expr) => {{
@@ -35,35 +37,37 @@ macro_rules! numeric_cmp {
     }};
 }
 
+/// The tag checks each primitive application performs, indexed by label (0
+/// at other labels): one per checked argument position that check
+/// elimination has not listed in `safe`.
+pub(crate) fn check_table(res: &Resolved, safe: Option<&HashSet<(Label, usize)>>) -> Vec<u32> {
+    res.codes()
+        .map(|(label, code)| {
+            let Code::Prim(p, ops) = code else {
+                return 0;
+            };
+            let checked =
+                |pos: usize| pos < ops.len() && safe.is_none_or(|s| !s.contains(&(label, pos)));
+            p.checked_args()
+                .iter()
+                .map(|&(idx, _)| match idx {
+                    u8::MAX => (0..ops.len()).filter(|&pos| checked(pos)).count() as u32,
+                    idx => u32::from(checked(idx as usize)),
+                })
+                .sum()
+        })
+        .collect()
+}
+
 impl Machine<'_> {
     /// Applies the primitive at `label` to `vals`, charging its cost —
-    /// including one tag check per checked argument position that check
-    /// elimination has not proven safe.
+    /// including its tag checks from the run's check table.
     pub(crate) fn apply_prim(&mut self, label: Label, vals: &[Value]) -> Result<Value, VmError> {
         let p = self.prim_op(label);
+        let checks = u64::from(self.checks[label.0 as usize]);
         self.counters.prims += 1;
-        self.counters.mutator += self.model.prim_cost;
-        let spec = p.checked_args();
-        if !spec.is_empty() {
-            let mut performed = 0u64;
-            for &(idx, _) in spec {
-                if idx == u8::MAX {
-                    for pos in 0..vals.len() {
-                        if self.safe_checks.is_none_or(|s| !s.contains(&(label, pos))) {
-                            performed += 1;
-                        }
-                    }
-                } else if (idx as usize) < vals.len()
-                    && self
-                        .safe_checks
-                        .is_none_or(|s| !s.contains(&(label, idx as usize)))
-                {
-                    performed += 1;
-                }
-            }
-            self.counters.checks += performed;
-            self.counters.mutator += self.model.type_check_cost * performed;
-        }
+        self.counters.checks += checks;
+        self.counters.mutator += self.model.prim_cost + self.model.type_check_cost * checks;
         self.prim(p, vals)
     }
 

@@ -7,6 +7,11 @@
 //! laid out in first-occurrence free-variable order — the same order the
 //! inliner's `cl-ref` indices use (§3.5), so `(cl-ref w i)` is a real indexed
 //! load.
+//!
+//! The resolver also prices every *call-free* tree — a constant, a variable,
+//! or a primitive whose operands are all call-free — at the number of
+//! machine steps it takes in operand position, so the machine can evaluate
+//! it in place and charge those steps at once ([`Resolved::simple_cost`]).
 
 use fdi_lang::{ExprKind, FreeVars, Label, PrimOp, Program, VarId};
 use std::collections::HashMap;
@@ -74,6 +79,9 @@ pub struct LambdaCode {
 #[derive(Debug, Clone)]
 pub struct Resolved {
     code: Vec<Code>,
+    /// Per label: the steps of a call-free tree, or 0 (see
+    /// [`Self::simple_cost`]).
+    simple: Vec<u32>,
     root: Label,
 }
 
@@ -86,6 +94,22 @@ impl Resolved {
     /// The root label.
     pub fn root(&self) -> Label {
         self.root
+    }
+
+    /// The machine steps the expression at `label` takes in operand
+    /// position when it is call-free: 2 for a constant or a variable (one
+    /// to evaluate it, one to return its value), 2 + the operands' costs for
+    /// a primitive whose operands are all call-free, and 0 for anything else.
+    pub fn simple_cost(&self, label: Label) -> u32 {
+        self.simple[label.0 as usize]
+    }
+
+    /// Every label with its code, in label order.
+    pub(crate) fn codes(&self) -> impl Iterator<Item = (Label, &Code)> {
+        self.code
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (Label(i as u32), c))
     }
 }
 
@@ -120,19 +144,20 @@ impl Scope {
 /// [`fdi_lang::validate`] first if the input is untrusted.
 pub fn resolve(program: &Program) -> Resolved {
     let fv = FreeVars::compute(program);
-    let mut code = vec![Code::Dead; program.expr_count()];
     let mut scope = Scope {
         frames: vec![Vec::new()],
         captures: HashMap::new(),
     };
-    walk(program, &fv, program.root(), &mut scope, &mut code);
-    Resolved {
-        code,
+    let mut res = Resolved {
+        code: vec![Code::Dead; program.expr_count()],
+        simple: vec![0; program.expr_count()],
         root: program.root(),
-    }
+    };
+    walk(program, &fv, program.root(), &mut scope, &mut res);
+    res
 }
 
-fn walk(program: &Program, fv: &FreeVars, label: Label, scope: &mut Scope, code: &mut Vec<Code>) {
+fn walk(program: &Program, fv: &FreeVars, label: Label, scope: &mut Scope, res: &mut Resolved) {
     let out = match program.expr(label) {
         ExprKind::Const(c) => Code::Const(*c),
         ExprKind::Var(v) => Code::Var(
@@ -142,41 +167,41 @@ fn walk(program: &Program, fv: &FreeVars, label: Label, scope: &mut Scope, code:
         ),
         ExprKind::Prim(p, args) => {
             for &a in args {
-                walk(program, fv, a, scope, code);
+                walk(program, fv, a, scope, res);
             }
             Code::Prim(*p, args.clone())
         }
         ExprKind::Call(parts) => {
             for &e in parts {
-                walk(program, fv, e, scope, code);
+                walk(program, fv, e, scope, res);
             }
             Code::Call(parts.clone())
         }
         ExprKind::Apply(f, arg) => {
-            walk(program, fv, *f, scope, code);
-            walk(program, fv, *arg, scope, code);
+            walk(program, fv, *f, scope, res);
+            walk(program, fv, *arg, scope, res);
             Code::Apply(*f, *arg)
         }
         ExprKind::Begin(parts) => {
             for &e in parts {
-                walk(program, fv, e, scope, code);
+                walk(program, fv, e, scope, res);
             }
             Code::Begin(parts.clone())
         }
         ExprKind::If(c, t, e) => {
-            walk(program, fv, *c, scope, code);
-            walk(program, fv, *t, scope, code);
-            walk(program, fv, *e, scope, code);
+            walk(program, fv, *c, scope, res);
+            walk(program, fv, *t, scope, res);
+            walk(program, fv, *e, scope, res);
             Code::If(*c, *t, *e)
         }
         ExprKind::Let(bindings, body) => {
             for &(_, e) in bindings {
-                walk(program, fv, e, scope, code);
+                walk(program, fv, e, scope, res);
             }
             scope
                 .frames
                 .push(bindings.iter().map(|&(x, _)| x).collect());
-            walk(program, fv, *body, scope, code);
+            walk(program, fv, *body, scope, res);
             scope.frames.pop();
             Code::Let(bindings.iter().map(|&(_, e)| e).collect(), *body)
         }
@@ -185,9 +210,9 @@ fn walk(program: &Program, fv: &FreeVars, label: Label, scope: &mut Scope, code:
                 .frames
                 .push(bindings.iter().map(|&(y, _)| y).collect());
             for &(_, f) in bindings {
-                walk(program, fv, f, scope, code);
+                walk(program, fv, f, scope, res);
             }
-            walk(program, fv, *body, scope, code);
+            walk(program, fv, *body, scope, res);
             scope.frames.pop();
             Code::Letrec(bindings.iter().map(|&(_, f)| f).collect(), *body)
         }
@@ -224,7 +249,7 @@ fn walk(program: &Program, fv: &FreeVars, label: Label, scope: &mut Scope, code:
                     .map(|(i, &z)| (z, i as u16))
                     .collect(),
             };
-            walk(program, fv, lam.body, &mut inner, code);
+            walk(program, fv, lam.body, &mut inner, res);
             Code::Lambda(LambdaCode {
                 params: lam.params.len(),
                 rest: lam.rest.is_some(),
@@ -234,11 +259,20 @@ fn walk(program: &Program, fv: &FreeVars, label: Label, scope: &mut Scope, code:
             })
         }
         ExprKind::ClRef(e, n) => {
-            walk(program, fv, *e, scope, code);
+            walk(program, fv, *e, scope, res);
             Code::ClRef(*e, *n)
         }
     };
-    code[label.0 as usize] = out;
+    // Operands are resolved (and priced) before the expression using them.
+    let cost = |op: &Label| res.simple[op.0 as usize];
+    res.simple[label.0 as usize] = match &out {
+        Code::Const(_) | Code::Var(_) => 2,
+        Code::Prim(_, ops) if ops.iter().all(|op| cost(op) != 0) => {
+            2 + ops.iter().map(cost).sum::<u32>()
+        }
+        _ => 0,
+    };
+    res.code[label.0 as usize] = out;
 }
 
 #[cfg(test)]
@@ -323,6 +357,23 @@ mod tests {
         };
         assert_eq!(l2.capture_plan, vec![VarRef::Env { depth: 0, slot: 0 }]);
         assert_eq!(l3.capture_plan, vec![VarRef::Capture(0)]);
+    }
+
+    #[test]
+    fn call_free_trees_are_priced_by_their_steps() {
+        let p = parse_and_lower("(lambda (a f) (cons (+ (* a 2) a) (- (f a) 1)))").unwrap();
+        let r = resolve(&p);
+        let Code::Lambda(lam) = r.code(r.root()) else {
+            panic!()
+        };
+        let Code::Prim(_, args) = r.code(lam.body) else {
+            panic!()
+        };
+        // (+ (* a 2) a) = 2 + (2 + 2 + 2) + 2; a call anywhere below → 0.
+        assert_eq!(r.simple_cost(args[0]), 10);
+        assert_eq!(r.simple_cost(args[1]), 0);
+        assert_eq!(r.simple_cost(lam.body), 0);
+        assert_eq!(r.simple_cost(r.root()), 0);
     }
 
     #[test]

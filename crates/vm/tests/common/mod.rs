@@ -1,6 +1,9 @@
 //! The programs the VM cost-model tests run: each paper benchmark at its
 //! test scale, unoptimized and optimized at several thresholds.
 
+// Each test binary uses a different subset of these helpers.
+#![allow(dead_code)]
+
 use fdi_benchsuite::BENCHMARKS;
 use fdi_core::{optimize_program, PipelineConfig};
 use fdi_lang::Program;
