@@ -8,18 +8,18 @@
 //! ```
 //!
 //! Optimizes the Table 1 suite twice per repetition — once with the
-//! disabled [`Telemetry`] handle, once with a [`RingSink`] collector
-//! installed — interleaved, taking the median suite wall over `R`
-//! repetitions (default 5). Along the way it asserts the two runs'
-//! optimized programs are byte-identical: telemetry observes decisions, it
-//! never makes them.
+//! disabled [`Telemetry`] handle, once with a [`RingSink`] and a
+//! [`MetricsRegistry`] installed behind a [`Fanout`] — interleaved, taking
+//! the median suite wall over `R` repetitions (default 5). The registry is
+//! in the collector-on arm because every engine owns one that cannot be
+//! switched off, so this gate is what prices it. Along the way it asserts
+//! the two runs' optimized programs are byte-identical: telemetry observes
+//! decisions, it never makes them.
 //!
-//! `--serve` measures the *daemon's* observability plane instead: the suite
-//! runs on the batch engine, once bare and once with `fdi serve`'s exact
-//! collector stack installed — a [`MetricsRegistry`] and a
-//! [`FlightRecorder`] behind a [`Fanout`] — so the number gates what the
-//! always-on metrics/flight plane costs a live daemon, not just what a
-//! passive ring buffer costs the pipeline.
+//! `--serve` measures the rest of the *daemon's* observability plane: the
+//! suite runs on the batch engine (whose registry is always on), once bare
+//! and once with `fdi serve`'s [`FlightRecorder`] installed as well, so the
+//! number gates what the flight recorder adds to a live daemon.
 //!
 //! `--assert PCT` turns the report into a gate: exit non-zero when the
 //! collector-on median exceeds the collector-off median by more than `PCT`
@@ -76,9 +76,10 @@ fn median(walls: &mut [Duration]) -> Duration {
     walls[walls.len() / 2]
 }
 
-/// The `--serve` leg: suite on the batch engine, bare vs the daemon's
-/// always-on metrics + flight collector stack. Fresh engines per arm per
-/// rep, so every rep pays the full cold compute the collectors must shadow.
+/// The `--serve` leg: suite on the batch engine, bare (its own registry
+/// only) vs with the daemon's flight recorder added. Fresh engines per arm
+/// per rep, so every rep pays the full cold compute the collectors must
+/// shadow.
 fn serve_leg(reps: usize, assert_pct: Option<f64>) {
     let sources: Vec<String> = fdi_benchsuite::BENCHMARKS
         .iter()
@@ -104,10 +105,8 @@ fn serve_leg(reps: usize, assert_pct: Option<f64>) {
     for _ in 0..reps {
         let engine_off = Engine::new(EngineConfig::default());
         let (off_out, off_wall) = timed(|| run_suite(&engine_off));
-        let metrics = Arc::new(MetricsRegistry::new());
         let flight = Arc::new(FlightRecorder::with_capacity(64));
-        let telemetry =
-            Telemetry::with_collector(Arc::new(Fanout::new(vec![metrics.clone(), flight])));
+        let telemetry = Telemetry::with_collector(flight);
         let engine_on = Engine::with_telemetry(EngineConfig::default(), &telemetry);
         let (on_out, on_wall) = timed(|| run_suite(&engine_on));
         assert_eq!(
@@ -116,9 +115,9 @@ fn serve_leg(reps: usize, assert_pct: Option<f64>) {
         );
         assert_eq!(
             on_out, reference,
-            "metrics-on output differs — the observability plane steered the engine"
+            "flight-on output differs — the flight recorder steered the engine"
         );
-        events = metrics.overhead().0;
+        events = engine_on.metrics().overhead().0;
         off_walls.push(off_wall);
         on_walls.push(on_wall);
     }
@@ -127,14 +126,14 @@ fn serve_leg(reps: usize, assert_pct: Option<f64>) {
     let overhead_pct = (on.as_secs_f64() - off.as_secs_f64()) / off.as_secs_f64() * 100.0;
     println!(
         "telemetry_overhead --serve: {} benchmarks, median of {} rep(s), \
-         {} event(s) per metered suite pass",
+         {} event(s) per recorded suite pass",
         sources.len(),
         reps,
         events
     );
-    println!("plane off     : {off:>10.3?}");
-    println!("plane on      : {on:>10.3?}  ({overhead_pct:+.2}% wall)");
-    println!("outputs       : byte-identical with and without the plane");
+    println!("flight off    : {off:>10.3?}");
+    println!("flight on     : {on:>10.3?}  ({overhead_pct:+.2}% wall)");
+    println!("outputs       : byte-identical with and without the recorder");
     gate("telemetry_overhead --serve", off, on, assert_pct);
 }
 
@@ -171,7 +170,10 @@ fn main() {
     for _ in 0..reps {
         let (off_out, off_wall) = timed(|| optimize_suite(&sources, &config, &Telemetry::off()));
         let sink = Arc::new(RingSink::default());
-        let telemetry = Telemetry::with_collector(sink.clone());
+        let telemetry = Telemetry::with_collector(Arc::new(Fanout::new(vec![
+            sink.clone(),
+            Arc::new(MetricsRegistry::new()),
+        ])));
         let (on_out, on_wall) = timed(|| optimize_suite(&sources, &config, &telemetry));
         assert_eq!(
             off_out, reference,

@@ -31,6 +31,7 @@
 //! entries carry no bytes and are never pressure-evicted: evicting one would
 //! strand its waiters, and its cost isn't known until it resolves.
 
+use fdi_telemetry::MetricsRegistry;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -115,23 +116,21 @@ impl<V: Clone> Gate<V> {
 
 /// A byte budget shared by every cache constructed against it.
 ///
-/// `used` is the sum of ready-entry bytes across all charging caches;
-/// `pressure_evictions` counts entries shed to fit the limit (shared with
-/// [`crate::EngineStats`] so pressure shows up next to fault and corruption
-/// evictions).
-#[derive(Debug)]
+/// `used` is the sum of ready-entry bytes across all charging caches (a
+/// gauge); entries shed to fit the limit are counted in the engine's
+/// registry, next to fault and corruption evictions.
 pub(crate) struct CacheBudget {
     limit: usize,
     used: AtomicUsize,
-    pressure_evictions: Arc<AtomicU64>,
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl CacheBudget {
-    pub(crate) fn new(limit: usize, pressure_evictions: Arc<AtomicU64>) -> Arc<CacheBudget> {
+    pub(crate) fn new(limit: usize, metrics: Arc<MetricsRegistry>) -> Arc<CacheBudget> {
         Arc::new(CacheBudget {
             limit,
             used: AtomicUsize::new(0),
-            pressure_evictions,
+            metrics,
         })
     }
 
@@ -183,7 +182,6 @@ enum Slot<V> {
 
 /// A content-addressed cache with in-flight deduplication and (optionally)
 /// byte-accounted LRU eviction against a shared [`CacheBudget`].
-#[derive(Debug)]
 pub(crate) struct KeyedCache<K, V> {
     map: Mutex<HashMap<K, Slot<V>>>,
     budget: Option<Arc<CacheBudget>>,
@@ -261,7 +259,7 @@ impl<K: Eq + Hash + Clone, V: Clone> KeyedCache<K, V> {
             let Some(key) = lru else { break };
             if let Some(Slot::Ready(r)) = map.remove(&key) {
                 budget.used.fetch_sub(r.bytes, Relaxed);
-                budget.pressure_evictions.fetch_add(1, Relaxed);
+                budget.metrics.add("engine.cache_evictions_pressure", 1);
             }
         }
     }
@@ -477,25 +475,30 @@ mod tests {
         assert_eq!(c.len(), 2);
     }
 
-    fn bounded_cache(limit: usize) -> (KeyedCache<u64, u64>, Arc<AtomicU64>) {
-        let pressure = Arc::new(AtomicU64::new(0));
-        let budget = CacheBudget::new(limit, pressure.clone());
+    /// Pressure evictions counted in a test budget's registry.
+    fn pressure(metrics: &MetricsRegistry) -> u64 {
+        metrics.counter_total("engine.cache_evictions_pressure")
+    }
+
+    fn bounded_cache(limit: usize) -> (KeyedCache<u64, u64>, Arc<MetricsRegistry>) {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let budget = CacheBudget::new(limit, metrics.clone());
         // Every value weighs 100 bytes: a limit of N*100 holds N entries.
-        (KeyedCache::bounded(budget, |_| 100), pressure)
+        (KeyedCache::bounded(budget, |_| 100), metrics)
     }
 
     #[test]
     fn pressure_evicts_lru_first() {
-        let (c, pressure) = bounded_cache(300);
+        let (c, metrics) = bounded_cache(300);
         for k in 0..3 {
             c.get_or_compute(k, || k * 10);
         }
         assert_eq!(c.len(), 3);
-        assert_eq!(pressure.load(Relaxed), 0, "under budget: nothing shed");
+        assert_eq!(pressure(&metrics), 0, "under budget: nothing shed");
         // Touch key 0 so key 1 becomes the LRU, then overflow.
         c.get_or_compute(0, || 999);
         c.get_or_compute(3, || 30);
-        assert_eq!(pressure.load(Relaxed), 1);
+        assert_eq!(pressure(&metrics), 1);
         assert_eq!(c.len(), 3);
         let (v, hit) = c.get_or_compute(1, || 777);
         assert_eq!((v, hit), (777, false), "LRU key 1 was the one evicted");
@@ -505,8 +508,8 @@ mod tests {
 
     #[test]
     fn budget_accounting_tracks_inserts_and_evictions() {
-        let pressure = Arc::new(AtomicU64::new(0));
-        let budget = CacheBudget::new(usize::MAX, pressure.clone());
+        let metrics = Arc::new(MetricsRegistry::new());
+        let budget = CacheBudget::new(usize::MAX, metrics.clone());
         let c: KeyedCache<u64, u64> = KeyedCache::bounded(budget.clone(), |_| 100);
         assert_eq!(budget.bytes_used(), 0);
         c.get_or_compute(1, || 1);
@@ -514,13 +517,13 @@ mod tests {
         assert_eq!(budget.bytes_used(), 200);
         assert!(c.evict(&1));
         assert_eq!(budget.bytes_used(), 100, "explicit evict refunds bytes");
-        assert_eq!(pressure.load(Relaxed), 0, "no pressure under MAX limit");
+        assert_eq!(pressure(&metrics), 0, "no pressure under MAX limit");
     }
 
     #[test]
     fn shared_budget_spans_caches_and_spares_inflight() {
-        let pressure = Arc::new(AtomicU64::new(0));
-        let budget = CacheBudget::new(250, pressure.clone());
+        let metrics = Arc::new(MetricsRegistry::new());
+        let budget = CacheBudget::new(250, metrics.clone());
         let a: Arc<KeyedCache<u64, u64>> = Arc::new(KeyedCache::bounded(budget.clone(), |_| 100));
         let b: KeyedCache<u64, u64> = KeyedCache::bounded(budget.clone(), |_| 100);
         a.get_or_compute(1, || 1);
@@ -537,7 +540,7 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(10));
         b.get_or_compute(2, || 2);
-        assert_eq!(pressure.load(Relaxed), 1);
+        assert_eq!(pressure(&metrics), 1);
         assert_eq!(b.len(), 1, "b shed its own LRU entry");
         assert_eq!(a.len(), 2, "a's ready + in-flight entries untouched");
         assert_eq!(owner.join().unwrap(), (99, false));
@@ -545,13 +548,13 @@ mod tests {
 
     #[test]
     fn entry_larger_than_budget_still_serves_then_goes() {
-        let (c, pressure) = bounded_cache(50);
+        let (c, metrics) = bounded_cache(50);
         // 100-byte value against a 50-byte budget: the caller still gets the
         // value (bounded wins, but never a wrong/missing answer)…
         let (v, hit) = c.get_or_compute(1, || 11);
         assert_eq!((v, hit), (11, false));
         // …and the entry itself is shed, so the next asker recomputes.
-        assert_eq!(pressure.load(Relaxed), 1);
+        assert_eq!(pressure(&metrics), 1);
         let (v, hit) = c.get_or_compute(1, || 12);
         assert_eq!((v, hit), (12, false));
     }

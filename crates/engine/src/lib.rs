@@ -72,6 +72,7 @@ mod pool;
 mod stats;
 mod store;
 
+use stats::{add_time, QueueGauge};
 pub use stats::{EngineStats, PassStat, TRACKED_PASSES};
 pub use store::{fsck, FsckReport, StoredOutput};
 
@@ -82,7 +83,7 @@ use fdi_core::{
     FlowAnalysis, InlineGuide, Input, Outcome, Phase, PipelineConfig, PipelineError,
     PipelineOutput, Program, Request, RunConfig, SpecializationCache, SweepCell, SweepRow,
 };
-use fdi_telemetry::{DecisionTotals, Telemetry};
+use fdi_telemetry::{DecisionTotals, MetricsRegistry, Telemetry};
 use pool::{Pool, Task};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -354,10 +355,15 @@ fn exec_bytes(v: &ExecResult) -> usize {
 
 /// Shared engine state: every worker task holds an `Arc<Inner>`.
 struct Inner {
-    stats: stats::StatsInner,
+    /// The engine's one registry: every count the engine keeps is recorded
+    /// here once (see the `stats` module), and [`Engine::stats`] reads it.
+    metrics: Arc<MetricsRegistry>,
+    /// Jobs queued or executing, with their high-water mark.
+    queue: QueueGauge,
     /// Telemetry handle shared by every worker: job spans, cache instants,
     /// retry/quarantine instants, and the pipeline's own events all land in
-    /// one collector, distinguished by worker thread id. Defaults to off.
+    /// the registry and in the caller's collector, if any, distinguished by
+    /// worker thread id.
     telemetry: Telemetry,
     /// The engine-level chaos injector, shared by caches and the pool.
     injector: Arc<FaultInjector>,
@@ -419,10 +425,9 @@ impl Inner {
         if p.source_fp == source_fingerprint(&job.source) {
             job.config.profile_fp = Some(p.fingerprint);
             if record {
-                self.stats.profile_applied.fetch_add(1, Relaxed);
+                self.metrics.add("engine.profile_applied", 1);
             }
         } else if record {
-            self.stats.profile_stale.fetch_add(1, Relaxed);
             self.telemetry.instant(
                 "profile.stale",
                 "profile",
@@ -462,19 +467,19 @@ impl Engine {
         Engine::with_telemetry(config, &Telemetry::off())
     }
 
-    /// An engine whose workers emit into `telemetry`'s collector: per-job
-    /// spans, cache hit/miss instants, retry and quarantine instants, plus
-    /// every job's own pipeline spans and decision events. Events carry the
-    /// worker's thread id, so a chrome-trace export shows one track per
-    /// worker.
+    /// An engine whose workers emit into `telemetry`'s collector as well as
+    /// the engine's own [`MetricsRegistry`]: per-job spans, cache hit/miss
+    /// instants, retry and quarantine instants, plus every job's own
+    /// pipeline spans and decision events. Events carry the worker's thread
+    /// id, so a chrome-trace export shows one track per worker.
     pub fn with_telemetry(config: EngineConfig, telemetry: &Telemetry) -> Engine {
-        let stats = stats::StatsInner::default();
+        let metrics = Arc::new(MetricsRegistry::new());
         let injector = Arc::new(FaultInjector::new(config.faults));
         let pool = Pool::with_chaos(
             config.workers,
             config.queue_cap,
             injector.clone(),
-            stats.workers_respawned.clone(),
+            metrics.clone(),
         );
         let disk = config.store.as_ref().and_then(|root| {
             match store::DiskStore::open(root, injector.clone()) {
@@ -489,7 +494,7 @@ impl Engine {
         });
         let cache_budget = config
             .cache_bytes
-            .map(|limit| CacheBudget::new(limit, stats.cache_evictions_pressure.clone()));
+            .map(|limit| CacheBudget::new(limit, metrics.clone()));
         let (programs, analyses, exec_cells) = match &cache_budget {
             Some(b) => (
                 KeyedCache::bounded(b.clone(), parse_artifact_bytes),
@@ -508,8 +513,9 @@ impl Engine {
             / config.workers.max(1);
         Engine {
             inner: Arc::new(Inner {
-                stats,
-                telemetry: telemetry.clone(),
+                telemetry: telemetry.tee(metrics.clone()),
+                metrics,
+                queue: QueueGauge::default(),
                 injector,
                 max_retries: config.max_retries,
                 retry_backoff: config.retry_backoff,
@@ -541,23 +547,30 @@ impl Engine {
         self.pool.workers()
     }
 
-    /// A point-in-time snapshot of the engine's counters, with the
-    /// resource gauges (cache and store footprints, GC evictions) filled
-    /// from their owners.
+    /// The engine's metrics registry: every count behind [`Engine::stats`],
+    /// plus the spans, instants and decisions of every job. Callers may
+    /// record their own series into it (the serve daemon does).
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.inner.metrics
+    }
+
+    /// A point-in-time view of the engine: its counts, read from the
+    /// registry, and its gauges (queue high-water, cache and store
+    /// footprints, store GC evictions, specialization-cache counters),
+    /// read from their owners.
     pub fn stats(&self) -> EngineStats {
-        let mut snap = self.inner.stats.snapshot();
         let spec = self.inner.spec_cache.stats();
-        snap.spec_hits = spec.hits;
-        snap.spec_misses = spec.misses;
-        snap.spec_evictions = spec.evictions;
-        if let Some(budget) = &self.inner.cache_budget {
-            snap.cache_bytes_used = budget.bytes_used() as u64;
+        let store = self.inner.store.as_ref();
+        EngineStats {
+            spec_hits: spec.hits,
+            spec_misses: spec.misses,
+            spec_evictions: spec.evictions,
+            cache_bytes_used: self.resources().cache_bytes_used,
+            store_bytes_used: store.map_or(0, |s| s.bytes_used()),
+            store_gc_evictions: store.map_or(0, |s| s.gc_evictions()),
+            queue_highwater: self.inner.queue.highwater(),
+            ..stats::from_registry(&self.inner.metrics)
         }
-        if let Some(store) = &self.inner.store {
-            snap.store_bytes_used = store.bytes_used();
-            snap.store_gc_evictions = store.gc_evictions();
-        }
-        snap
     }
 
     /// The engine's resource posture, for serve-mode health reporting.
@@ -603,8 +616,17 @@ impl Engine {
         // instants — this is a read-only probe, not a submission).
         let mut keyed = job.clone();
         self.inner.apply_profile(&mut keyed, false);
-        self.inner.stats.fingerprints_computed.fetch_add(2, Relaxed);
-        let hit = store.load_counted(keyed.key(), &self.inner.stats);
+        self.inner.metrics.add("engine.fingerprints_computed", 2);
+        let hit = match store.load(keyed.key()) {
+            store::Loaded::Hit(out) => Some(out),
+            store::Loaded::Miss => None,
+            store::Loaded::Corrupt => {
+                self.inner
+                    .metrics
+                    .add("engine.store_corruptions_detected", 1);
+                None
+            }
+        };
         self.inner.telemetry.instant(
             "cache.store",
             "cache",
@@ -625,11 +647,11 @@ impl Engine {
         let key = if job.bypasses_cache() {
             None
         } else {
-            self.inner.stats.fingerprints_computed.fetch_add(2, Relaxed);
+            self.inner.metrics.add("engine.fingerprints_computed", 2);
             let key = job.key();
             match self.inner.inflight.lock().unwrap().entry(key) {
                 Entry::Occupied(e) => {
-                    self.inner.stats.jobs_deduped.fetch_add(1, Relaxed);
+                    self.inner.metrics.add("engine.jobs_deduped", 1);
                     return JobHandle {
                         gate: e.get().clone(),
                         deduped: true,
@@ -641,19 +663,19 @@ impl Engine {
             }
             Some(key)
         };
-        self.inner.stats.jobs_submitted.fetch_add(1, Relaxed);
-        self.inner.stats.enqueue();
+        self.inner.metrics.add("engine.jobs_submitted", 1);
+        self.inner.queue.enqueue();
         let inner = self.inner.clone();
         let task_gate = gate.clone();
         let task: Task = Box::new(move || {
-            inner.stats.dequeue();
+            inner.queue.dequeue();
             let result = supervise(&inner, &job);
             if let Some(key) = key {
                 inner.inflight.lock().unwrap().remove(&key);
             }
             // Count completion before publishing: anyone woken by the gate
             // must already see this job in `jobs_completed`.
-            inner.stats.jobs_completed.fetch_add(1, Relaxed);
+            inner.metrics.add("engine.jobs_completed", 1);
             task_gate.set(result);
         });
         let shard = match key {
@@ -785,9 +807,9 @@ impl Engine {
         let inner = self.inner.clone();
         let run_config = *run_config;
         let memoize = !self.inner.injector.plan().enabled();
-        self.inner.stats.enqueue();
+        self.inner.queue.enqueue();
         let task: Task = Box::new(move || {
-            inner.stats.dequeue();
+            inner.queue.dequeue();
             let _span = inner.telemetry.span("execute", "engine");
             let started = Instant::now();
             let run = || {
@@ -806,13 +828,8 @@ impl Engine {
                     "{}\n{run_config:?}",
                     fdi_lang::unparse(&output.optimized)
                 ));
-                inner.stats.fingerprints_computed.fetch_add(1, Relaxed);
+                inner.metrics.add("engine.fingerprints_computed", 1);
                 let (mut exec, hit) = inner.exec_cells.get_or_compute(key, run);
-                stats::StatsInner::cache_event(
-                    &inner.stats.exec_hits,
-                    &inner.stats.exec_misses,
-                    hit,
-                );
                 inner
                     .telemetry
                     .instant("cache.exec", "cache", &[("hit", hit.to_string())]);
@@ -827,7 +844,7 @@ impl Engine {
             } else {
                 run()
             };
-            stats::StatsInner::add_time(&inner.stats.execute_ns, started.elapsed());
+            add_time(&inner.metrics, "engine.execute_ns", started);
             task_gate.set(exec);
         });
         let shard = self.inner.exec_shard.fetch_add(1, Relaxed);
@@ -902,7 +919,6 @@ fn supervise(inner: &Inner, job: &Job) -> JobResult {
             .deadline
             .is_some_and(|d| started.elapsed() + backoff >= d);
         if attempt >= inner.max_retries || deadline_spent {
-            inner.stats.jobs_quarantined.fetch_add(1, Relaxed);
             inner.telemetry.instant(
                 "job.poisoned",
                 "engine",
@@ -921,7 +937,6 @@ fn supervise(inner: &Inner, job: &Job) -> JobResult {
             return result;
         }
         attempt += 1;
-        inner.stats.jobs_retried.fetch_add(1, Relaxed);
         inner.telemetry.instant(
             "job.retry",
             "engine",
@@ -957,7 +972,7 @@ fn persist_output(inner: &Inner, job: &Job, src_key: u64, out: &PipelineOutput) 
             return;
         }
     }
-    inner.stats.fingerprints_computed.fetch_add(1, Relaxed);
+    inner.metrics.add("engine.fingerprints_computed", 1);
     let key = (src_key, job.config.fingerprint());
     let stored = StoredOutput {
         optimized: fdi_lang::unparse(&out.optimized).to_string(),
@@ -968,7 +983,6 @@ fn persist_output(inner: &Inner, job: &Job, src_key: u64, out: &PipelineOutput) 
         decisions: DecisionTotals::tally(&out.decisions),
     };
     let write_failed = |instant: &str, fields: &[(&str, String)]| {
-        inner.stats.store_write_failures.fetch_add(1, Relaxed);
         inner.telemetry.instant(instant, "cache", fields);
         let failures = inner.store_consec_failures.fetch_add(1, Relaxed) + 1;
         if failures == STORE_DEGRADE_AFTER {
@@ -984,7 +998,7 @@ fn persist_output(inner: &Inner, job: &Job, src_key: u64, out: &PipelineOutput) 
     };
     match store.save(key, &stored) {
         store::Saved::Written => {
-            inner.stats.store_writes.fetch_add(1, Relaxed);
+            inner.metrics.add("engine.store_writes", 1);
             let was = inner.store_consec_failures.swap(0, Relaxed);
             if was >= STORE_DEGRADE_AFTER {
                 inner.telemetry.instant("store.recovered", "cache", &[]);
@@ -1020,7 +1034,7 @@ fn run_job(inner: &Inner, job: &Job) -> JobResult {
         );
     }
     let cached = if job.bypasses_cache() {
-        inner.stats.analysis_uncached.fetch_add(1, Relaxed);
+        inner.metrics.add("engine.analysis_uncached", 1);
         None
     } else {
         Some(cached_artifacts(inner, job)?)
@@ -1046,10 +1060,9 @@ fn run_job(inner: &Inner, job: &Job) -> JobResult {
     };
     let started = Instant::now();
     let out = run(&request);
-    stats::StatsInner::add_time(&inner.stats.transform_ns, started.elapsed());
+    add_time(&inner.metrics, "engine.transform_ns", started);
     let out = out?;
-    inner.stats.record_passes(&out.passes);
-    inner.stats.record_decisions(&out.decisions);
+    stats::record_passes(&inner.metrics, &out.passes);
     if let Some((src_key, ..)) = cached {
         persist_output(inner, job, src_key, &out);
     }
@@ -1071,7 +1084,7 @@ fn cached_artifacts(
     job: &Job,
 ) -> Result<(u64, Arc<Program>, Option<AnalysisResult>), PipelineError> {
     let src_key = source_fingerprint(&job.source);
-    inner.stats.fingerprints_computed.fetch_add(1, Relaxed);
+    inner.metrics.add("engine.fingerprints_computed", 1);
     let chaos = inner.injector.plan().enabled();
 
     // Obtain the parse artifact, under chaos re-verifying its checksum: a
@@ -1101,8 +1114,7 @@ fn cached_artifacts(
                 }
             })
         });
-        stats::StatsInner::cache_event(&inner.stats.parse_hits, &inner.stats.parse_misses, hit);
-        stats::StatsInner::add_time(&inner.stats.parse_ns, parse_started.elapsed());
+        add_time(&inner.metrics, "engine.parse_ns", parse_started);
         inner
             .telemetry
             .instant("cache.parse", "cache", &[("hit", hit.to_string())]);
@@ -1112,12 +1124,11 @@ fn cached_artifacts(
                 artifact.checksum.fetch_xor(0xDEAD_BEEF_DEAD_BEEF, Relaxed);
             }
             if artifact_checksum(&artifact.program) != artifact.checksum.load(Relaxed) {
-                inner.stats.cache_corruptions_detected.fetch_add(1, Relaxed);
                 inner
                     .telemetry
                     .instant("cache.corruption_detected", "cache", &[]);
                 if inner.programs.evict(&src_key) {
-                    inner.stats.cache_evictions_corruption.fetch_add(1, Relaxed);
+                    inner.metrics.add("engine.cache_evictions_corruption", 1);
                 }
                 continue;
             }
@@ -1126,7 +1137,6 @@ fn cached_artifacts(
             // Drop the entry *after* taking our clone: this job proceeds,
             // the next asker recomputes.
             if inner.programs.evict(&src_key) {
-                inner.stats.cache_evictions_fault.fetch_add(1, Relaxed);
                 inner.telemetry.instant("cache.evict", "cache", &[]);
             }
         }
@@ -1134,24 +1144,19 @@ fn cached_artifacts(
     };
     let program = artifact.program;
     if !job.config.reuses_analysis() {
-        inner.stats.analysis_uncached.fetch_add(1, Relaxed);
+        inner.metrics.add("engine.analysis_uncached", 1);
         return Ok((src_key, program, None));
     }
     let analysis_started = Instant::now();
     let analysis_program = program.clone();
     let config = job.config;
-    inner.stats.fingerprints_computed.fetch_add(1, Relaxed);
+    inner.metrics.add("engine.fingerprints_computed", 1);
     let (analysis, hit) = inner
         .analyses
         .get_or_compute((src_key, job.config.analysis_fingerprint()), move || {
             analyze_contained(&analysis_program, &config).map(Arc::new)
         });
-    stats::StatsInner::cache_event(
-        &inner.stats.analysis_hits,
-        &inner.stats.analysis_misses,
-        hit,
-    );
-    stats::StatsInner::add_time(&inner.stats.analysis_ns, analysis_started.elapsed());
+    add_time(&inner.metrics, "engine.analysis_ns", analysis_started);
     inner
         .telemetry
         .instant("cache.analysis", "cache", &[("hit", hit.to_string())]);

@@ -37,8 +37,8 @@
 //! dequeue, exercising backpressure and deadline paths under slow workers.
 
 use fdi_core::faults::{FaultAction, FaultInjector, FaultPoint};
+use fdi_telemetry::MetricsRegistry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -59,7 +59,8 @@ struct ShardState {
 /// Everything shared by the pool and its respawn guards.
 struct Supervisor {
     injector: Arc<FaultInjector>,
-    respawned: Arc<AtomicU64>,
+    /// Where respawns are counted.
+    metrics: Arc<MetricsRegistry>,
     /// Join handles for every live (or not-yet-joined) worker, replacements
     /// included. The pool's drop pops until empty.
     handles: Mutex<Vec<JoinHandle<()>>>,
@@ -81,23 +82,24 @@ impl Pool {
             workers,
             queue_cap,
             Arc::new(FaultInjector::disabled()),
-            Arc::new(AtomicU64::new(0)),
+            Arc::new(MetricsRegistry::new()),
         )
     }
 
     /// [`Pool::new`] with the engine's shared fault injector (worker-panic
-    /// and queue-delay seams) and respawn counter.
+    /// and queue-delay seams) and metrics registry (respawns are counted in
+    /// it).
     pub(crate) fn with_chaos(
         workers: usize,
         queue_cap: usize,
         injector: Arc<FaultInjector>,
-        respawned: Arc<AtomicU64>,
+        metrics: Arc<MetricsRegistry>,
     ) -> Pool {
         let workers = workers.max(1);
         let queue_cap = queue_cap.max(1);
         let supervisor = Arc::new(Supervisor {
             injector,
-            respawned,
+            metrics,
             handles: Mutex::new(Vec::with_capacity(workers)),
         });
         let mut senders = Vec::with_capacity(workers);
@@ -163,7 +165,7 @@ struct RespawnOnPanic {
 impl Drop for RespawnOnPanic {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.supervisor.respawned.fetch_add(1, Relaxed);
+            self.supervisor.metrics.add("engine.workers_respawned", 1);
             let handle = spawn_worker(self.index, self.shard.clone(), self.supervisor.clone());
             self.supervisor.handles.lock().unwrap().push(handle);
         }
@@ -229,6 +231,7 @@ fn worker_loop(shard: &ShardState, injector: &FaultInjector) {
 mod tests {
     use super::*;
     use fdi_core::faults::FaultPlan;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     #[test]
     fn runs_every_task_across_shards() {
@@ -287,8 +290,8 @@ mod tests {
             7,
             &[FaultPoint::WorkerPanic],
         )));
-        let respawned = Arc::new(AtomicU64::new(0));
-        let pool = Pool::with_chaos(2, 4, injector, respawned.clone());
+        let metrics = Arc::new(MetricsRegistry::new());
+        let pool = Pool::with_chaos(2, 4, injector, metrics.clone());
         let ran = Arc::new(AtomicU64::new(0));
         for key in 0..16u64 {
             let ran = ran.clone();
@@ -302,7 +305,7 @@ mod tests {
         drop(pool);
         assert_eq!(ran.load(Relaxed), 16, "no task lost to worker panics");
         assert_eq!(
-            respawned.load(Relaxed),
+            metrics.counter_total("engine.workers_respawned"),
             16,
             "one respawn per delivered task at 100% fault rate"
         );
@@ -314,7 +317,7 @@ mod tests {
             11,
             &[FaultPoint::QueueDelay],
         )));
-        let pool = Pool::with_chaos(1, 4, injector, Arc::new(AtomicU64::new(0)));
+        let pool = Pool::with_chaos(1, 4, injector, Arc::new(MetricsRegistry::new()));
         let ran = Arc::new(AtomicU64::new(0));
         for _ in 0..8 {
             let ran = ran.clone();

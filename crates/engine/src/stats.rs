@@ -1,179 +1,114 @@
-//! Engine observability: lock-free counters and the [`EngineStats`]
-//! snapshot.
+//! Engine observability: the [`EngineStats`] view of the engine's metrics
+//! registry.
 //!
-//! Workers record into a shared [`StatsInner`] (plain relaxed atomics — the
-//! counters are monotone and independent, so no ordering is needed);
-//! [`StatsInner::snapshot`] reads them into the plain-data [`EngineStats`]
-//! callers consume.
+//! The engine counts each fact once, into the one [`MetricsRegistry`] it
+//! owns: as an instant it emits anyway (the `cache.*` hit/miss instants,
+//! which the registry splits into `.hit`/`.miss` series, `job.retry`,
+//! `job.poisoned`, `cache.evict`, `cache.corruption_detected`,
+//! `profile.stale`, the store write-failure instants), or with
+//! [`MetricsRegistry::add`] under an `engine.*` name for facts with no
+//! instant of their own. [`from_registry`] reads them back. Decision totals
+//! are the registry's tally of the pipeline's decision events. Gauges are
+//! not counts: the queue high-water mark, cache and store bytes, the
+//! store's GC evictions and the specialization cache's counters are read
+//! from their owners when [`crate::Engine::stats`] takes its snapshot.
 
 use fdi_core::PassTrace;
-use fdi_telemetry::{DecisionRecord, DecisionTotals};
+use fdi_telemetry::json::Json;
+use fdi_telemetry::{DecisionTotals, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::Instant;
 
 /// The pipeline passes the engine aggregates across jobs, in trace order.
 /// The frontend is deliberately absent: the engine's parse cache makes its
 /// cost a cache property (`parse_ns`), not a per-job pass.
 pub const TRACKED_PASSES: [&str; 4] = ["baseline", "analyze", "inline", "simplify"];
 
-/// Atomic accumulator behind one [`PassStat`].
-#[derive(Debug, Default)]
-pub(crate) struct PassCell {
-    runs: AtomicU64,
-    ns: AtomicU64,
-    fuel: AtomicU64,
+/// Adds the time since `started` to the nanosecond counter `name`.
+pub(crate) fn add_time(metrics: &MetricsRegistry, name: &str, started: Instant) {
+    metrics.add(name, started.elapsed().as_nanos() as u64);
 }
 
-/// Shared mutable counters, one per engine.
-#[derive(Debug, Default)]
-pub(crate) struct StatsInner {
-    pub jobs_submitted: AtomicU64,
-    pub jobs_deduped: AtomicU64,
-    pub jobs_completed: AtomicU64,
-    pub jobs_retried: AtomicU64,
-    pub jobs_quarantined: AtomicU64,
-    pub parse_hits: AtomicU64,
-    pub parse_misses: AtomicU64,
-    pub analysis_hits: AtomicU64,
-    pub analysis_misses: AtomicU64,
-    pub analysis_uncached: AtomicU64,
-    pub fingerprints_computed: AtomicU64,
-    /// Cache entries shed by injected `cache-evict` faults.
-    pub cache_evictions_fault: AtomicU64,
-    /// Cache entries shed because the fingerprint recheck caught them
-    /// corrupted.
-    pub cache_evictions_corruption: AtomicU64,
-    /// Cache entries shed to fit `cache_bytes`. Behind an `Arc`: the shared
-    /// [`crate::cache::CacheBudget`] bumps it from inside the caches.
-    pub cache_evictions_pressure: Arc<AtomicU64>,
-    pub cache_corruptions_detected: AtomicU64,
-    /// Memoized sweep-cell executions served without a VM run.
-    pub exec_hits: AtomicU64,
-    /// Sweep-cell executions actually run on the VM through the cache.
-    pub exec_misses: AtomicU64,
-    pub store_hits: AtomicU64,
-    pub store_misses: AtomicU64,
-    pub store_corruptions_detected: AtomicU64,
-    pub store_writes: AtomicU64,
-    pub store_write_failures: AtomicU64,
-    pub profile_applied: AtomicU64,
-    pub profile_stale: AtomicU64,
-    /// Behind an `Arc` so the pool's respawn guards can bump it without
-    /// holding the whole stats block.
-    pub workers_respawned: Arc<AtomicU64>,
-    pub queue_depth: AtomicU64,
-    pub queue_highwater: AtomicU64,
-    pub parse_ns: AtomicU64,
-    pub analysis_ns: AtomicU64,
-    pub transform_ns: AtomicU64,
-    pub execute_ns: AtomicU64,
-    /// Per-pass aggregates, indexed like [`TRACKED_PASSES`].
-    pub passes: [PassCell; 4],
-    /// Inline decision totals across completed jobs. A mutex, not atomics:
-    /// recorded once per job, read once per snapshot — never hot.
-    pub decisions: Mutex<DecisionTotals>,
+/// Folds one finished job's per-pass traces into the `engine.pass.*`
+/// series. Untracked trace names (a repeated simplify step still reports as
+/// `"simplify"`, so in practice only `"frontend"`) are skipped.
+pub(crate) fn record_passes(metrics: &MetricsRegistry, traces: &[PassTrace]) {
+    for t in traces.iter().filter(|t| TRACKED_PASSES.contains(&t.pass)) {
+        let pass = t.pass;
+        metrics.add(&format!("engine.pass.{pass}.runs"), t.runs as u64);
+        metrics.add(&format!("engine.pass.{pass}.ns"), t.wall.as_nanos() as u64);
+        metrics.add(&format!("engine.pass.{pass}.fuel"), t.fuel);
+    }
 }
 
-impl StatsInner {
+/// Jobs queued or executing, and the peak of that depth: a gauge pair,
+/// read at snapshot time.
+#[derive(Debug, Default)]
+pub(crate) struct QueueGauge {
+    depth: AtomicU64,
+    highwater: AtomicU64,
+}
+
+impl QueueGauge {
     /// Records a job entering a queue, maintaining the high-water mark.
     pub(crate) fn enqueue(&self) {
-        let depth = self.queue_depth.fetch_add(1, Relaxed) + 1;
-        self.queue_highwater.fetch_max(depth, Relaxed);
+        let depth = self.depth.fetch_add(1, Relaxed) + 1;
+        self.highwater.fetch_max(depth, Relaxed);
     }
 
     /// Records a job leaving a queue (it started executing).
     pub(crate) fn dequeue(&self) {
-        self.queue_depth.fetch_sub(1, Relaxed);
+        self.depth.fetch_sub(1, Relaxed);
     }
 
-    /// Adds a measured phase duration to `counter`.
-    pub(crate) fn add_time(counter: &AtomicU64, elapsed: Duration) {
-        counter.fetch_add(elapsed.as_nanos() as u64, Relaxed);
+    /// The highest depth seen so far.
+    pub(crate) fn highwater(&self) -> u64 {
+        self.highwater.load(Relaxed)
     }
+}
 
-    /// Folds one finished job's per-pass traces into the engine-wide
-    /// aggregates. Untracked trace names (a repeated simplify step still
-    /// reports as `"simplify"`, so in practice only `"frontend"`) are
-    /// skipped.
-    pub(crate) fn record_passes(&self, traces: &[PassTrace]) {
-        for trace in traces {
-            let Some(i) = TRACKED_PASSES.iter().position(|&n| n == trace.pass) else {
-                continue;
-            };
-            self.passes[i].runs.fetch_add(trace.runs as u64, Relaxed);
-            self.passes[i]
-                .ns
-                .fetch_add(trace.wall.as_nanos() as u64, Relaxed);
-            self.passes[i].fuel.fetch_add(trace.fuel, Relaxed);
-        }
-    }
-
-    /// Folds one finished job's decision records into the engine-wide
-    /// totals.
-    pub(crate) fn record_decisions(&self, decisions: &[DecisionRecord]) {
-        if decisions.is_empty() {
-            return;
-        }
-        let totals = DecisionTotals::tally(decisions);
-        self.decisions.lock().unwrap().merge(&totals);
-    }
-
-    /// Bumps a hit or miss counter pair.
-    pub(crate) fn cache_event(hits: &AtomicU64, misses: &AtomicU64, hit: bool) {
-        if hit {
-            hits.fetch_add(1, Relaxed);
-        } else {
-            misses.fetch_add(1, Relaxed);
-        }
-    }
-
-    /// A point-in-time copy of every counter.
-    pub(crate) fn snapshot(&self) -> EngineStats {
-        EngineStats {
-            jobs_submitted: self.jobs_submitted.load(Relaxed),
-            jobs_deduped: self.jobs_deduped.load(Relaxed),
-            jobs_completed: self.jobs_completed.load(Relaxed),
-            jobs_retried: self.jobs_retried.load(Relaxed),
-            jobs_quarantined: self.jobs_quarantined.load(Relaxed),
-            parse_hits: self.parse_hits.load(Relaxed),
-            parse_misses: self.parse_misses.load(Relaxed),
-            analysis_hits: self.analysis_hits.load(Relaxed),
-            analysis_misses: self.analysis_misses.load(Relaxed),
-            analysis_uncached: self.analysis_uncached.load(Relaxed),
-            fingerprints_computed: self.fingerprints_computed.load(Relaxed),
-            cache_evictions_fault: self.cache_evictions_fault.load(Relaxed),
-            cache_evictions_corruption: self.cache_evictions_corruption.load(Relaxed),
-            cache_evictions_pressure: self.cache_evictions_pressure.load(Relaxed),
-            cache_bytes_used: 0,
-            cache_corruptions_detected: self.cache_corruptions_detected.load(Relaxed),
-            spec_hits: 0,
-            spec_misses: 0,
-            spec_evictions: 0,
-            exec_hits: self.exec_hits.load(Relaxed),
-            exec_misses: self.exec_misses.load(Relaxed),
-            store_hits: self.store_hits.load(Relaxed),
-            store_misses: self.store_misses.load(Relaxed),
-            store_corruptions_detected: self.store_corruptions_detected.load(Relaxed),
-            store_writes: self.store_writes.load(Relaxed),
-            store_write_failures: self.store_write_failures.load(Relaxed),
-            store_gc_evictions: 0,
-            store_bytes_used: 0,
-            profile_applied: self.profile_applied.load(Relaxed),
-            profile_stale: self.profile_stale.load(Relaxed),
-            workers_respawned: self.workers_respawned.load(Relaxed),
-            queue_highwater: self.queue_highwater.load(Relaxed),
-            parse_ns: self.parse_ns.load(Relaxed),
-            analysis_ns: self.analysis_ns.load(Relaxed),
-            transform_ns: self.transform_ns.load(Relaxed),
-            execute_ns: self.execute_ns.load(Relaxed),
-            passes: std::array::from_fn(|i| PassStat {
-                runs: self.passes[i].runs.load(Relaxed),
-                ns: self.passes[i].ns.load(Relaxed),
-                fuel: self.passes[i].fuel.load(Relaxed),
-            }),
-            decisions: *self.decisions.lock().unwrap(),
-        }
+/// The registry-backed counts of an [`EngineStats`]; the gauges are left
+/// zero for [`crate::Engine::stats`] to fill from their owners.
+pub(crate) fn from_registry(metrics: &MetricsRegistry) -> EngineStats {
+    let c = |name: &str| metrics.counter_total(name);
+    let pass = |name: &str| PassStat {
+        runs: c(&format!("engine.pass.{name}.runs")),
+        ns: c(&format!("engine.pass.{name}.ns")),
+        fuel: c(&format!("engine.pass.{name}.fuel")),
+    };
+    EngineStats {
+        jobs_submitted: c("engine.jobs_submitted"),
+        jobs_deduped: c("engine.jobs_deduped"),
+        jobs_completed: c("engine.jobs_completed"),
+        jobs_retried: c("job.retry"),
+        jobs_quarantined: c("job.poisoned"),
+        parse_hits: c("cache.parse.hit"),
+        parse_misses: c("cache.parse.miss"),
+        analysis_hits: c("cache.analysis.hit"),
+        analysis_misses: c("cache.analysis.miss"),
+        analysis_uncached: c("engine.analysis_uncached"),
+        fingerprints_computed: c("engine.fingerprints_computed"),
+        cache_evictions_fault: c("cache.evict"),
+        cache_evictions_corruption: c("engine.cache_evictions_corruption"),
+        cache_evictions_pressure: c("engine.cache_evictions_pressure"),
+        cache_corruptions_detected: c("cache.corruption_detected"),
+        exec_hits: c("cache.exec.hit"),
+        exec_misses: c("cache.exec.miss"),
+        store_hits: c("cache.store.hit"),
+        store_misses: c("cache.store.miss"),
+        store_corruptions_detected: c("engine.store_corruptions_detected"),
+        store_writes: c("engine.store_writes"),
+        store_write_failures: c("store.write_torn") + c("store.full") + c("store.write_failed"),
+        profile_applied: c("engine.profile_applied"),
+        profile_stale: c("profile.stale"),
+        workers_respawned: c("engine.workers_respawned"),
+        parse_ns: c("engine.parse_ns"),
+        analysis_ns: c("engine.analysis_ns"),
+        transform_ns: c("engine.transform_ns"),
+        execute_ns: c("engine.execute_ns"),
+        passes: TRACKED_PASSES.map(pass),
+        decisions: metrics.decisions(),
+        ..EngineStats::default()
     }
 }
 
@@ -189,7 +124,8 @@ pub struct PassStat {
     pub fuel: u64,
 }
 
-/// A point-in-time snapshot of one engine's counters.
+/// A point-in-time view of one engine's counts (read from its metrics
+/// registry) and resource gauges (read from their owners).
 ///
 /// Cache hits count every job that *reused* an artifact — whether it found
 /// the artifact ready or waited on another worker's in-flight computation —
@@ -291,7 +227,8 @@ pub struct EngineStats {
     /// Per-pass totals across completed jobs, indexed like
     /// [`TRACKED_PASSES`] (baseline, analyze, inline, simplify).
     pub passes: [PassStat; 4],
-    /// Inline decision totals across completed jobs, bucketed by reason.
+    /// Inline decisions the engine's jobs emitted, bucketed by reason: the
+    /// registry's tally of the pipeline's decision events.
     pub decisions: DecisionTotals,
 }
 
@@ -313,103 +250,82 @@ impl EngineStats {
         }
     }
 
-    /// Fraction of parse-cache lookups that reused a result.
-    pub fn parse_hit_rate(&self) -> f64 {
-        let total = self.parse_hits + self.parse_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.parse_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of disk-store lookups that served a verified artifact.
-    pub fn store_hit_rate(&self) -> f64 {
-        let total = self.store_hits + self.store_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.store_hits as f64 / total as f64
-        }
-    }
-
-    /// The snapshot as one JSON object (stable key order, no trailing
-    /// newline) — for the `fdi batch` CLI and the experiment logs.
-    pub fn to_json(&self) -> String {
-        let passes = TRACKED_PASSES
-            .iter()
-            .zip(&self.passes)
-            .map(|(name, p)| {
-                format!(
-                    "\"{}\":{{\"runs\":{},\"ms\":{:.3},\"fuel\":{}}}",
-                    name,
-                    p.runs,
-                    p.ns as f64 / 1e6,
-                    p.fuel
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            concat!(
-                "{{\"jobs_submitted\":{},\"jobs_deduped\":{},\"jobs_completed\":{},",
-                "\"jobs_retried\":{},\"jobs_quarantined\":{},",
-                "\"parse_hits\":{},\"parse_misses\":{},",
-                "\"analysis_hits\":{},\"analysis_misses\":{},\"analysis_uncached\":{},",
-                "\"fingerprints_computed\":{},",
-                "\"cache_evictions_fault\":{},",
-                "\"cache_evictions_corruption\":{},\"cache_evictions_pressure\":{},",
-                "\"cache_bytes_used\":{},\"cache_corruptions_detected\":{},",
-                "\"spec_hits\":{},\"spec_misses\":{},\"spec_evictions\":{},",
-                "\"exec_hits\":{},\"exec_misses\":{},",
-                "\"store_hits\":{},\"store_misses\":{},\"store_corruptions_detected\":{},",
-                "\"store_writes\":{},\"store_write_failures\":{},",
-                "\"store_gc_evictions\":{},\"store_bytes_used\":{},",
-                "\"profile_applied\":{},\"profile_stale\":{},",
-                "\"workers_respawned\":{},\"queue_highwater\":{},",
-                "\"parse_ms\":{:.3},\"analysis_ms\":{:.3},\"transform_ms\":{:.3},\"execute_ms\":{:.3},",
-                "\"passes\":{{{}}},",
-                "\"telemetry\":{{\"decisions\":{}}}}}"
+    /// The snapshot as one JSON document (stable key order): every count,
+    /// the `*_ms` phase times, the per-pass totals, and the decision totals.
+    pub fn json(&self) -> Json {
+        let ms = |ns: u64| Json::from(ns as f64 / 1e6);
+        let times = [
+            ("parse_ms", ms(self.parse_ns)),
+            ("analysis_ms", ms(self.analysis_ns)),
+            ("transform_ms", ms(self.transform_ns)),
+            ("execute_ms", ms(self.execute_ns)),
+        ];
+        let passes = TRACKED_PASSES.iter().zip(&self.passes).map(|(&name, p)| {
+            let fields = [
+                ("runs", p.runs.into()),
+                ("ms", ms(p.ns)),
+                ("fuel", p.fuel.into()),
+            ];
+            (name, Json::obj(fields))
+        });
+        let tail = [
+            ("passes", Json::obj(passes)),
+            (
+                "telemetry",
+                Json::obj([("decisions", self.decisions.json())]),
             ),
-            self.jobs_submitted,
-            self.jobs_deduped,
-            self.jobs_completed,
-            self.jobs_retried,
-            self.jobs_quarantined,
-            self.parse_hits,
-            self.parse_misses,
-            self.analysis_hits,
-            self.analysis_misses,
-            self.analysis_uncached,
-            self.fingerprints_computed,
-            self.cache_evictions_fault,
-            self.cache_evictions_corruption,
-            self.cache_evictions_pressure,
-            self.cache_bytes_used,
-            self.cache_corruptions_detected,
-            self.spec_hits,
-            self.spec_misses,
-            self.spec_evictions,
-            self.exec_hits,
-            self.exec_misses,
-            self.store_hits,
-            self.store_misses,
-            self.store_corruptions_detected,
-            self.store_writes,
-            self.store_write_failures,
-            self.store_gc_evictions,
-            self.store_bytes_used,
-            self.profile_applied,
-            self.profile_stale,
-            self.workers_respawned,
-            self.queue_highwater,
-            self.parse_ns as f64 / 1e6,
-            self.analysis_ns as f64 / 1e6,
-            self.transform_ns as f64 / 1e6,
-            self.execute_ns as f64 / 1e6,
-            passes,
-            self.decisions.to_json(),
-        )
+        ];
+        let counts = [
+            ("jobs_submitted", self.jobs_submitted),
+            ("jobs_deduped", self.jobs_deduped),
+            ("jobs_completed", self.jobs_completed),
+            ("jobs_retried", self.jobs_retried),
+            ("jobs_quarantined", self.jobs_quarantined),
+            ("parse_hits", self.parse_hits),
+            ("parse_misses", self.parse_misses),
+            ("analysis_hits", self.analysis_hits),
+            ("analysis_misses", self.analysis_misses),
+            ("analysis_uncached", self.analysis_uncached),
+            ("fingerprints_computed", self.fingerprints_computed),
+            ("cache_evictions_fault", self.cache_evictions_fault),
+            (
+                "cache_evictions_corruption",
+                self.cache_evictions_corruption,
+            ),
+            ("cache_evictions_pressure", self.cache_evictions_pressure),
+            ("cache_bytes_used", self.cache_bytes_used),
+            (
+                "cache_corruptions_detected",
+                self.cache_corruptions_detected,
+            ),
+            ("spec_hits", self.spec_hits),
+            ("spec_misses", self.spec_misses),
+            ("spec_evictions", self.spec_evictions),
+            ("exec_hits", self.exec_hits),
+            ("exec_misses", self.exec_misses),
+            ("store_hits", self.store_hits),
+            ("store_misses", self.store_misses),
+            (
+                "store_corruptions_detected",
+                self.store_corruptions_detected,
+            ),
+            ("store_writes", self.store_writes),
+            ("store_write_failures", self.store_write_failures),
+            ("store_gc_evictions", self.store_gc_evictions),
+            ("store_bytes_used", self.store_bytes_used),
+            ("profile_applied", self.profile_applied),
+            ("profile_stale", self.profile_stale),
+            ("workers_respawned", self.workers_respawned),
+            ("queue_highwater", self.queue_highwater),
+        ];
+        let counts = counts.map(|(key, n)| (key, Json::from(n)));
+        Json::obj(counts.into_iter().chain(times).chain(tail))
+    }
+
+    /// [`EngineStats::json`], rendered (no trailing newline) — for the
+    /// `fdi batch` CLI and the experiment logs.
+    pub fn to_json(&self) -> String {
+        self.json().to_string()
     }
 }
 
@@ -419,15 +335,14 @@ mod tests {
 
     #[test]
     fn highwater_tracks_peak_depth() {
-        let s = StatsInner::default();
+        let s = QueueGauge::default();
         s.enqueue();
         s.enqueue();
         s.dequeue();
         s.enqueue();
         s.dequeue();
         s.dequeue();
-        let snap = s.snapshot();
-        assert_eq!(snap.queue_highwater, 2);
+        assert_eq!(s.highwater(), 2);
     }
 
     #[test]
@@ -465,11 +380,11 @@ mod tests {
 
     #[test]
     fn eviction_causes_snapshot_independently() {
-        let s = StatsInner::default();
-        s.cache_evictions_fault.fetch_add(2, Relaxed);
-        s.cache_evictions_corruption.fetch_add(3, Relaxed);
-        s.cache_evictions_pressure.fetch_add(5, Relaxed);
-        let snap = s.snapshot();
+        let m = MetricsRegistry::new();
+        m.add("cache.evict", 2);
+        m.add("engine.cache_evictions_corruption", 3);
+        m.add("engine.cache_evictions_pressure", 5);
+        let snap = from_registry(&m);
         assert_eq!(snap.cache_evictions_fault, 2);
         assert_eq!(snap.cache_evictions_corruption, 3);
         assert_eq!(snap.cache_evictions_pressure, 5);
@@ -477,8 +392,9 @@ mod tests {
 
     #[test]
     fn record_passes_folds_tracked_traces_and_skips_the_rest() {
-        use fdi_core::{PassDisposition, PassTrace};
-        let s = StatsInner::default();
+        use fdi_core::PassDisposition;
+        use std::time::Duration;
+        let m = MetricsRegistry::new();
         let trace = |pass, runs, fuel| PassTrace {
             pass,
             wall: Duration::from_micros(5),
@@ -488,15 +404,18 @@ mod tests {
             runs,
             disposition: PassDisposition::Completed,
         };
-        s.record_passes(&[
-            trace("frontend", 1, 0), // untracked: the parse cache owns it
-            trace("baseline", 1, 10),
-            trace("analyze", 1, 40),
-            trace("inline", 1, 12),
-            trace("simplify", 3, 9),
-        ]);
-        s.record_passes(&[trace("baseline", 1, 10), trace("simplify", 1, 8)]);
-        let snap = s.snapshot();
+        record_passes(
+            &m,
+            &[
+                trace("frontend", 1, 0), // untracked: the parse cache owns it
+                trace("baseline", 1, 10),
+                trace("analyze", 1, 40),
+                trace("inline", 1, 12),
+                trace("simplify", 3, 9),
+            ],
+        );
+        record_passes(&m, &[trace("baseline", 1, 10), trace("simplify", 1, 8)]);
+        let snap = from_registry(&m);
         assert_eq!(snap.pass("baseline").unwrap().runs, 2);
         assert_eq!(snap.pass("analyze").unwrap().fuel, 40);
         assert_eq!(snap.pass("simplify").unwrap().runs, 4);

@@ -59,11 +59,10 @@
 //! * `store-full` — the write is rejected as if the device were full
 //!   (ENOSPC); the engine must degrade to memory-only, never fail the job.
 
-use crate::stats::StatsInner;
 use fdi_core::faults::{FaultInjector, FaultPoint};
 use fdi_core::framing::{decode_frame as decode_payload, encode_frame, HEADER};
-use fdi_telemetry::json::{parse, Json};
-use fdi_telemetry::{trace::json_string, DecisionTotals};
+use fdi_telemetry::json::{json_string, parse, Json};
+use fdi_telemetry::DecisionTotals;
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -462,26 +461,6 @@ impl DiskStore {
                 self.sub_used(len);
                 self.gc_evictions.fetch_add(1, Relaxed);
                 self.recency.lock().unwrap().remove(&path);
-            }
-        }
-    }
-
-    /// Folds one load outcome into the engine's counters and returns the
-    /// hit, if any.
-    pub(crate) fn load_counted(&self, key: (u64, u64), stats: &StatsInner) -> Option<StoredOutput> {
-        match self.load(key) {
-            Loaded::Hit(out) => {
-                stats.store_hits.fetch_add(1, Relaxed);
-                Some(out)
-            }
-            Loaded::Miss => {
-                stats.store_misses.fetch_add(1, Relaxed);
-                None
-            }
-            Loaded::Corrupt => {
-                stats.store_misses.fetch_add(1, Relaxed);
-                stats.store_corruptions_detected.fetch_add(1, Relaxed);
-                None
             }
         }
     }

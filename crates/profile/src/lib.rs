@@ -31,8 +31,7 @@
 use fdi_core::framing::{decode_frame, encode_frame};
 use fdi_core::source_fingerprint;
 use fdi_inline::InlineGuide;
-use fdi_telemetry::json::{parse, Json};
-use fdi_telemetry::trace::json_string;
+use fdi_telemetry::json::{json_string, parse, Json};
 use fdi_vm::RunConfig;
 use std::fmt;
 use std::fs;

@@ -8,6 +8,7 @@
 //! explain (`fdi explain`), and trend (engine sweeps) without parsing
 //! free-form strings.
 
+use crate::json::Json;
 use std::fmt;
 
 /// Did the site get inlined?
@@ -170,9 +171,9 @@ impl DecisionRecord {
         }
         format!(
             "{{\"site\":{},\"contour\":{},\"callee\":{},\"verdict\":\"{}\",\"reason\":\"{}\"{}}}",
-            crate::trace::json_string(&self.site_label),
-            crate::trace::json_string(&self.contour),
-            crate::trace::json_string(&self.callee),
+            crate::json::json_string(&self.site_label),
+            crate::json::json_string(&self.contour),
+            crate::json::json_string(&self.callee),
             self.verdict,
             self.reason.key(),
             extra,
@@ -257,9 +258,13 @@ impl DecisionTotals {
     }
 
     /// One JSON object, keys in canonical order.
+    pub fn json(&self) -> Json {
+        Json::obj(self.iter().map(|(k, n)| (k, n.into())))
+    }
+
+    /// [`DecisionTotals::json`], rendered.
     pub fn to_json(&self) -> String {
-        let body: Vec<String> = self.iter().map(|(k, n)| format!("\"{k}\":{n}")).collect();
-        format!("{{{}}}", body.join(","))
+        self.json().to_string()
     }
 }
 

@@ -22,7 +22,7 @@
 //! `--trace-out`, no graceful shutdown required. Write-through IO failures
 //! are ignored: the recorder observes the daemon, it never fails it.
 
-use crate::trace::json_string;
+use crate::json::json_string;
 use crate::{Collector, DecisionTotals, Event};
 use std::collections::VecDeque;
 use std::io::Write;

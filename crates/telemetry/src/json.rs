@@ -1,12 +1,20 @@
-//! A minimal, dependency-free JSON parser.
+//! A minimal, dependency-free JSON parser and writer.
 //!
-//! Just enough JSON to validate the traces this crate emits (see
-//! [`crate::validate_chrome_trace`]) and to let the CI checker binary parse
-//! arbitrary trace files. Supports the full value grammar (objects, arrays,
-//! strings with escapes, numbers, booleans, null) with a recursion-depth
-//! guard; it is not a streaming parser and is not meant for huge documents.
+//! The parser handles just enough JSON to validate the traces this crate
+//! emits (see [`crate::validate_chrome_trace`]) and to let the CI checker
+//! binary parse arbitrary trace files. Supports the full value grammar
+//! (objects, arrays, strings with escapes, numbers, booleans, null) with a
+//! recursion-depth guard; it is not a streaming parser and is not meant for
+//! huge documents.
+//!
+//! The writer is [`Json`]'s `Display`: compact (no whitespace), object keys
+//! in insertion order, strings escaped by [`json_string`]'s rules. Build a
+//! document with [`Json::obj`] and the `From` conversions, then
+//! `to_string()` it.
 
-/// A parsed JSON value. Object keys keep their source order.
+use std::fmt::{self, Write as _};
+
+/// A JSON value, parsed or built for writing. Object keys keep their order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -63,6 +71,94 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An object with `members`, in the given order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+/// Compact JSON: no whitespace, keys in order, integral numbers without a
+/// fraction, non-finite numbers as `null` (JSON has no NaN or infinity).
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write_string(f, s),
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(members) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in members.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_string(f, key)?;
+                    write!(f, ":{value}")?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// Writes `s` as one JSON string literal, quotes included.
+fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
+}
+
+/// Escapes `s` as one JSON string literal, quotes included.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_string(&mut out, s).expect("writing to a String cannot fail");
+    out
 }
 
 const MAX_DEPTH: usize = 128;
@@ -350,6 +446,27 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn writer_round_trips_through_the_parser() {
+        let doc = Json::obj([
+            ("n", 3u64.into()),
+            ("ms", 1.25.into()),
+            ("s", "a\"b\\c\n\u{1}é".into()),
+            ("none", Json::Null),
+            ("list", Json::Arr(vec![true.into(), Json::obj::<&str>([])])),
+            ("nan", f64::NAN.into()),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(
+            text,
+            r#"{"n":3,"ms":1.25,"s":"a\"b\\c\n\u0001é","none":null,"list":[true,{}],"nan":null}"#
+        );
+        let back = parse(&text).unwrap();
+        assert_eq!(back.get("s"), doc.get("s"));
+        assert_eq!(back.get("list"), doc.get("list"));
+        assert_eq!(json_string("q\""), "\"q\\\"\"");
     }
 
     #[test]

@@ -155,7 +155,9 @@ pub trait Collector: Send + Sync {
 struct TelemetryInner {
     collector: Arc<dyn Collector>,
     origin: Instant,
-    next_span: AtomicU64,
+    /// Shared with every [`Telemetry::tee`] of the handle, so span ids
+    /// stay unique across all of them.
+    next_span: Arc<AtomicU64>,
 }
 
 /// A cheap, cloneable handle to a collector — or to nothing.
@@ -195,7 +197,24 @@ impl Telemetry {
             inner: Some(Arc::new(TelemetryInner {
                 collector,
                 origin: Instant::now(),
-                next_span: AtomicU64::new(1),
+                next_span: Arc::new(AtomicU64::new(1)),
+            })),
+        }
+    }
+
+    /// A handle feeding `extra` as well as this handle's collector, if any,
+    /// on the same clock and span-id sequence. This is how an owner adds a
+    /// collector of its own (the engine's metrics registry) to whatever
+    /// handle its caller passed in.
+    pub fn tee(&self, extra: Arc<dyn Collector>) -> Telemetry {
+        let Some(inner) = &self.inner else {
+            return Telemetry::with_collector(extra);
+        };
+        Telemetry {
+            inner: Some(Arc::new(TelemetryInner {
+                collector: Arc::new(Fanout::new(vec![inner.collector.clone(), extra])),
+                origin: inner.origin,
+                next_span: inner.next_span.clone(),
             })),
         }
     }
@@ -347,6 +366,28 @@ mod tests {
         // Inner closes before outer.
         assert!(matches!(&ev[2], Event::SpanEnd { id, name, .. } if id == i && name == "inner"));
         assert!(matches!(&ev[3], Event::SpanEnd { id, name, .. } if id == o && name == "outer"));
+    }
+
+    #[test]
+    fn tee_feeds_both_collectors_on_one_clock_and_id_sequence() {
+        let caller = Arc::new(RingSink::with_capacity(64));
+        let owner = Arc::new(RingSink::with_capacity(64));
+        let tel = Telemetry::with_collector(caller.clone());
+        let teed = tel.tee(owner.clone());
+        drop(tel.span("outer", "t"));
+        drop(teed.span("inner", "t"));
+        assert_eq!(caller.len(), 4, "the caller sees both handles' events");
+        assert_eq!(owner.len(), 2, "the owner sees the teed handle's only");
+        let ids: Vec<u64> = caller
+            .snapshot()
+            .iter()
+            .filter_map(|e| match e {
+                Event::SpanBegin { id, .. } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ids, [1, 2], "span ids never collide across tees");
+        assert!(Telemetry::off().tee(owner.clone()).enabled());
     }
 
     #[test]

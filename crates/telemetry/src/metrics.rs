@@ -1,15 +1,22 @@
-//! A process-wide metrics registry: counters, gauges, and fixed-bucket
-//! histograms with sliding time-window aggregation.
+//! A metrics registry: counters, gauges, and fixed-bucket histograms with
+//! sliding time-window aggregation.
 //!
 //! [`MetricsRegistry`] is a [`Collector`]: install it on a [`crate::Telemetry`]
-//! handle (alone or fanned out with [`crate::Fanout`]) and every instant,
-//! counter, histogram, and decision already emitted by the pipeline lands in
-//! the registry for free. Instants become windowed event counters (a
-//! `hit`/`miss` argument splits the name into `.hit`/`.miss` series), counter
-//! samples accumulate, span begin/end pairs feed per-span duration histograms
-//! in microseconds, and decision records tally into a
-//! [`DecisionTotals`]. Gauges are set explicitly by the owner (the serve
-//! daemon mirrors its engine's resource footprint in before every scrape).
+//! handle (alone, fanned out with [`crate::Fanout`], or added with
+//! [`crate::Telemetry::tee`]) and every instant, counter, histogram, and
+//! decision already emitted by the pipeline lands in the registry for free.
+//! Instants become windowed event counters (a `hit`/`miss` argument splits
+//! the name into `.hit`/`.miss` series). A counter event is a *sample* of a
+//! value its emitter keeps (the CFA's running step count, say), so it sets
+//! a gauge to the latest sample; it is never summed. Span begin/end pairs
+//! feed per-span duration histograms in microseconds, and decision records
+//! tally into a [`DecisionTotals`].
+//!
+//! Owners also write directly: [`MetricsRegistry::add`] bumps a counter
+//! (the batch engine records every count it keeps this way, into the one
+//! registry it owns), and [`MetricsRegistry::set_gauge`] records a level
+//! measured elsewhere (the serve daemon sets its footprint gauges before
+//! every scrape).
 //!
 //! Windowing: each counter and histogram keeps, next to its cumulative
 //! total, a ring of [`WINDOW_SLOTS`] buckets of [`WINDOW_SLOT_SECS`] seconds
@@ -17,17 +24,17 @@
 //! lazily reset on reuse, so an idle series costs nothing to age out. The
 //! exported `1m`/`5m` figures sum the last 12 / 60 whole slots.
 //!
-//! Exposition is dual: [`MetricsRegistry::to_json`] renders one JSON object
-//! (the `{"op":"metrics"}` payload), and
+//! Exposition is dual: [`MetricsRegistry::json`] builds one JSON document
+//! (the `{"op":"metrics"}` payload) for the crate's [`Json`] writer, and
 //! [`MetricsRegistry::to_prometheus_text`] renders the Prometheus text
-//! exposition format — hand-rolled, std-only, like the crate's JSON writer.
+//! exposition format — hand-rolled and std-only.
 //!
 //! The registry self-accounts: [`MetricsRegistry::overhead`] reports how
 //! many events it absorbed and the cumulative wall time spent in
 //! [`Collector::record`], which the daemon surfaces as its telemetry
 //! overhead estimate in `{"op":"health"}`.
 
-use crate::trace::json_string;
+use crate::json::Json;
 use crate::{Collector, DecisionTotals, Event};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -162,12 +169,7 @@ impl MetricsRegistry {
     }
 
     fn add_at(&self, name: &str, n: u64, slot: u64) {
-        let mut state = self.state.lock().unwrap();
-        state
-            .counters
-            .entry(name.to_string())
-            .or_insert_with(Windowed::new)
-            .add(n, slot);
+        counter(&mut self.state.lock().unwrap().counters, name).add(n, slot);
     }
 
     /// Sets the gauge `name` to `value`, creating it on first use.
@@ -199,8 +201,7 @@ impl MetricsRegistry {
         (self.events.load(Relaxed), self.record_ns.load(Relaxed))
     }
 
-    /// The cumulative total of counter `name` (0 if absent). For tests and
-    /// embedding callers; exposition goes through the renderers.
+    /// The cumulative total of counter `name` (0 if absent).
     pub fn counter_total(&self, name: &str) -> u64 {
         self.state
             .lock()
@@ -210,81 +211,77 @@ impl MetricsRegistry {
             .map_or(0, |w| w.total)
     }
 
-    /// Renders the whole registry as one JSON object.
-    pub fn to_json(&self) -> String {
+    /// The current value of gauge `name`, if it was ever set or sampled.
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        self.state.lock().unwrap().gauges.get(name).copied()
+    }
+
+    /// Every inline decision absorbed so far, by reason.
+    pub fn decisions(&self) -> DecisionTotals {
+        self.state.lock().unwrap().decisions
+    }
+
+    /// The whole registry as one JSON document.
+    pub fn json(&self) -> Json {
         let now_slot = self.now_slot();
         let state = self.state.lock().unwrap();
-        let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\"uptime_s\":{},\"window_slot_secs\":{WINDOW_SLOT_SECS},",
-            self.started.elapsed().as_secs()
-        ));
         let (events, ns) = self.overhead();
-        out.push_str(&format!(
-            "\"overhead\":{{\"events\":{events},\"record_us\":{}}},",
-            ns / 1_000
-        ));
-        let counters: Vec<String> = state
-            .counters
-            .iter()
-            .map(|(name, w)| {
-                format!(
-                    "{}:{{\"total\":{},\"w1m\":{},\"w5m\":{}}}",
-                    json_string(name),
-                    w.total,
-                    w.window(SLOTS_1M, now_slot),
-                    w.window(SLOTS_5M, now_slot)
-                )
+        let windows = |count: &Windowed, sum: Option<&Windowed>| {
+            [("w1m", SLOTS_1M), ("w5m", SLOTS_5M)].map(|(key, slots)| {
+                let count = count.window(slots, now_slot).into();
+                let value = match sum {
+                    None => count,
+                    Some(sum) => Json::obj([
+                        ("count", count),
+                        ("sum_us", sum.window(slots, now_slot).into()),
+                    ]),
+                };
+                (key, value)
             })
-            .collect();
-        out.push_str(&format!("\"counters\":{{{}}},", counters.join(",")));
-        let gauges: Vec<String> = state
-            .gauges
-            .iter()
-            .map(|(name, v)| format!("{}:{}", json_string(name), fmt_f64(*v)))
-            .collect();
-        out.push_str(&format!("\"gauges\":{{{}}},", gauges.join(",")));
-        let histograms: Vec<String> = state
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                let bounds: Vec<String> =
-                    DURATION_BUCKETS_US.iter().map(|b| b.to_string()).collect();
-                let counts: Vec<String> = h.buckets.iter().map(|n| n.to_string()).collect();
-                format!(
-                    concat!(
-                        "{}:{{\"bounds_us\":[{}],\"counts\":[{}],",
-                        "\"sum_us\":{},\"count\":{},",
-                        "\"w1m\":{{\"count\":{},\"sum_us\":{}}},",
-                        "\"w5m\":{{\"count\":{},\"sum_us\":{}}}}}"
-                    ),
-                    json_string(name),
-                    bounds.join(","),
-                    counts.join(","),
-                    h.sum_us,
-                    h.count.total,
-                    h.count.window(SLOTS_1M, now_slot),
-                    h.sum_ring.window(SLOTS_1M, now_slot),
-                    h.count.window(SLOTS_5M, now_slot),
-                    h.sum_ring.window(SLOTS_5M, now_slot),
-                )
-            })
-            .collect();
-        out.push_str(&format!("\"histograms\":{{{}}},", histograms.join(",")));
-        let labelled: Vec<String> = state
-            .labelled
-            .iter()
-            .map(|(name, buckets)| {
-                let pairs: Vec<String> = buckets
-                    .iter()
-                    .map(|(label, n)| format!("{}:{n}", json_string(label)))
-                    .collect();
-                format!("{}:{{{}}}", json_string(name), pairs.join(","))
-            })
-            .collect();
-        out.push_str(&format!("\"labelled\":{{{}}},", labelled.join(",")));
-        out.push_str(&format!("\"decisions\":{}}}", state.decisions.to_json()));
-        out
+        };
+        let counters = state.counters.iter().map(|(name, w)| {
+            let total = [("total", w.total.into())];
+            (
+                name.as_str(),
+                Json::obj(total.into_iter().chain(windows(w, None))),
+            )
+        });
+        let histograms = state.histograms.iter().map(|(name, h)| {
+            let fixed = [
+                (
+                    "bounds_us",
+                    Json::Arr(DURATION_BUCKETS_US.map(Json::from).to_vec()),
+                ),
+                ("counts", Json::Arr(h.buckets.map(Json::from).to_vec())),
+                ("sum_us", h.sum_us.into()),
+                ("count", h.count.total.into()),
+            ];
+            let windowed = windows(&h.count, Some(&h.sum_ring));
+            (name.as_str(), Json::obj(fixed.into_iter().chain(windowed)))
+        });
+        let labelled = state.labelled.iter().map(|(name, buckets)| {
+            let pairs = buckets.iter().map(|(label, &n)| (label.as_str(), n.into()));
+            (name.as_str(), Json::obj(pairs))
+        });
+        Json::obj([
+            ("uptime_s", self.started.elapsed().as_secs().into()),
+            ("window_slot_secs", WINDOW_SLOT_SECS.into()),
+            (
+                "overhead",
+                Json::obj([
+                    ("events", events.into()),
+                    ("record_us", (ns / 1_000).into()),
+                ]),
+            ),
+            ("counters", Json::obj(counters)),
+            (
+                "gauges",
+                Json::obj(state.gauges.iter().map(|(n, &v)| (n.as_str(), v.into()))),
+            ),
+            ("histograms", Json::obj(histograms)),
+            ("labelled", Json::obj(labelled)),
+            ("decisions", state.decisions.json()),
+        ])
     }
 
     /// Renders the registry in the Prometheus text exposition format.
@@ -387,18 +384,10 @@ impl MetricsRegistry {
                     Some(_) => format!("{name}.miss"),
                     None => name,
                 };
-                state
-                    .counters
-                    .entry(series)
-                    .or_insert_with(Windowed::new)
-                    .add(1, slot);
+                counter(&mut state.counters, &series).add(1, slot);
             }
             Event::Counter { name, value, .. } => {
-                state
-                    .counters
-                    .entry(name)
-                    .or_insert_with(Windowed::new)
-                    .add(value, slot);
+                state.gauges.insert(name, value as f64);
             }
             Event::Histogram { name, buckets, .. } => {
                 let merged = state.labelled.entry(name).or_default();
@@ -423,6 +412,15 @@ impl Collector for MetricsRegistry {
     }
 }
 
+/// The counter `name`, created empty on first use. Looks up by `&str` so
+/// the common case (the series exists) allocates nothing.
+fn counter<'a>(counters: &'a mut BTreeMap<String, Windowed>, name: &str) -> &'a mut Windowed {
+    if !counters.contains_key(name) {
+        counters.insert(name.to_string(), Windowed::new());
+    }
+    counters.get_mut(name).expect("inserted above")
+}
+
 /// A metric-name-safe rendering: every byte outside `[a-zA-Z0-9_]` → `_`.
 fn sanitize(name: &str) -> String {
     name.chars()
@@ -430,17 +428,13 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-/// Renders an f64 the way the registry's JSON needs it: integral values
-/// without a trailing `.0` mismatch risk, everything finite as shortest
-/// round-trip, non-finite as 0 (JSON has no NaN/Inf).
+/// Renders a gauge value for the Prometheus text: shortest round-trip,
+/// integral values without a fraction, non-finite as 0.
 fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+    if v.is_finite() {
+        v.to_string()
     } else {
-        format!("{v}")
+        "0".to_string()
     }
 }
 
@@ -478,6 +472,30 @@ mod tests {
     }
 
     #[test]
+    fn counter_samples_read_as_their_latest_value() {
+        // The CFA samples its running totals every 1024 steps and once at
+        // the end; one analysis of `lattice` samples steps 0, 1024 and 1758
+        // and contours 1, 39 and 44. The registry must read the final
+        // sample, not the sum of all three (2782 steps, 84 contours).
+        let reg = MetricsRegistry::new();
+        for (steps, contours) in [(0, 1), (1024, 39), (1758, 44)] {
+            for (name, value) in [("cfa.steps", steps), ("cfa.contours", contours)] {
+                reg.record(Event::Counter {
+                    name: name.to_string(),
+                    value,
+                    ts_us: 0,
+                    tid: 1,
+                });
+            }
+        }
+        assert_eq!(reg.gauge("cfa.steps"), Some(1758.0));
+        assert_eq!(reg.gauge("cfa.contours"), Some(44.0));
+        assert_eq!(reg.counter_total("cfa.steps"), 0, "samples never sum");
+        let text = reg.to_prometheus_text();
+        assert!(text.contains("# TYPE fdi_cfa_steps gauge\nfdi_cfa_steps 1758\n"));
+    }
+
+    #[test]
     fn window_ages_out_old_slots() {
         let mut w = Windowed::new();
         w.add(5, 0);
@@ -512,7 +530,7 @@ mod tests {
             ts_us: 600,
             tid: 1,
         });
-        let json = reg.to_json();
+        let json = reg.json().to_string();
         let doc = crate::json::parse(&json).expect("registry JSON parses");
         let job = doc
             .get("histograms")
@@ -550,7 +568,7 @@ mod tests {
             ts_us: 0,
             tid: 1,
         });
-        let doc = crate::json::parse(&reg.to_json()).expect("parses");
+        let doc = crate::json::parse(&reg.json().to_string()).expect("parses");
         let counters = doc.get("counters").expect("counters");
         let sr = counters.get("serve.requests").expect("series");
         assert_eq!(sr.get("total").and_then(|n| n.as_num()), Some(3.0));

@@ -7,26 +7,8 @@
 //! file with [`crate::json`] and checks the structural rules the viewers
 //! rely on (required fields, known phases, balanced begin/end per track).
 
+use crate::json::json_string;
 use crate::Event;
-
-/// Escapes `s` as one JSON string literal, quotes included.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 fn args_obj(args: &[(String, String)]) -> String {
     let body: Vec<String> = args

@@ -2,8 +2,9 @@
 //! one JSON report.
 
 use crate::opts::{parse_policy, parse_schedule, usage};
-use crate::report::{health_json, json_escape, passes_json, write_chrome_trace};
+use crate::report::{health_json, passes_json, write_chrome_trace};
 use fdi_core::{FaultPlan, OracleConfig, PipelineConfig, Telemetry};
+use fdi_telemetry::json::json_string;
 use fdi_telemetry::{DecisionTotals, RingSink};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -304,8 +305,8 @@ pub fn main(mut args: Vec<String>) -> ExitCode {
             .map(|src| format!("\"{}\"", fdi_core::trace_id_hex(src, &line.config)))
             .unwrap_or_else(|| "null".to_string());
         let head = format!(
-            "{{\"spec\":\"{}\",\"trace_id\":{},\"threshold\":{}",
-            json_escape(&line.spec),
+            "{{\"spec\":{},\"trace_id\":{},\"threshold\":{}",
+            json_string(&line.spec),
             trace,
             line.config.threshold
         );
@@ -313,15 +314,15 @@ pub fn main(mut args: Vec<String>) -> ExitCode {
             None => {
                 failures += 1;
                 format!(
-                    "{head},\"ok\":false,\"error\":\"{}\"}}",
-                    json_escape(line.source.as_ref().unwrap_err())
+                    "{head},\"ok\":false,\"error\":{}}}",
+                    json_string(line.source.as_ref().unwrap_err())
                 )
             }
             Some(Err(e)) => {
                 failures += 1;
                 format!(
-                    "{head},\"ok\":false,\"error\":\"{}\"}}",
-                    json_escape(&e.to_string())
+                    "{head},\"ok\":false,\"error\":{}}}",
+                    json_string(&e.to_string())
                 )
             }
             Some(Ok(out)) => format!(
@@ -360,11 +361,11 @@ pub fn main(mut args: Vec<String>) -> ExitCode {
                 .map(|l| l.spec.as_str())
                 .unwrap_or("<unknown>");
             format!(
-                "{{\"spec\":\"{}\",\"threshold\":{},\"attempts\":{},\"error\":\"{}\"}}",
-                json_escape(spec),
+                "{{\"spec\":{},\"threshold\":{},\"attempts\":{},\"error\":{}}}",
+                json_string(spec),
                 p.threshold,
                 p.attempts,
-                json_escape(&p.error.to_string())
+                json_string(&p.error.to_string())
             )
         })
         .collect();

@@ -46,10 +46,9 @@
 //! misparsed.
 
 use crate::opts::usage;
-use crate::report::json_escape;
 use crate::serve::PROTO_VERSION;
 use fdi_core::jittered_backoff;
-use fdi_telemetry::json::{self, Json};
+use fdi_telemetry::json::{self, json_string, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -150,17 +149,14 @@ pub fn main(mut args: Vec<String>) -> ExitCode {
             let Some(spec) = rest.first() else {
                 return usage();
             };
-            let flags: Vec<String> = rest[1..]
-                .iter()
-                .map(|f| format!("\"{}\"", json_escape(f)))
-                .collect();
+            let flags: Vec<String> = rest[1..].iter().map(|f| json_string(f)).collect();
             deadline = deadline_ms.map(Duration::from_millis);
             let deadline_field = deadline_ms
                 .map(|ms| format!(",\"deadline_ms\":{ms}"))
                 .unwrap_or_default();
             format!(
-                "{{\"op\":\"job\",\"spec\":\"{}\",\"flags\":[{}]{}}}",
-                json_escape(spec),
+                "{{\"op\":\"job\",\"spec\":{},\"flags\":[{}]{}}}",
+                json_string(spec),
                 flags.join(","),
                 deadline_field
             )

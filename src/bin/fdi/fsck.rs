@@ -52,9 +52,9 @@ pub fn main(args: Vec<String>) -> ExitCode {
         );
     }
     println!(
-        "{{\"store\":\"{}\",\"scanned\":{},\"healthy\":{},\"corrupt\":{},\
+        "{{\"store\":{},\"scanned\":{},\"healthy\":{},\"corrupt\":{},\
          \"orphaned_tmp\":{},\"repaired\":{},\"bytes\":{},\"unrepaired\":{}}}",
-        crate::report::json_escape(&store),
+        fdi_telemetry::json::json_string(&store),
         report.scanned,
         report.healthy,
         report.corrupt,

@@ -4,27 +4,9 @@
 
 use crate::opts::{parse_policy, usage};
 use fdi_core::{DecisionTotals, PassTrace, PipelineHealth, PipelineOutput};
+use fdi_telemetry::json::json_string;
 use fdi_telemetry::Event;
 use std::process::ExitCode;
-
-/// Minimal JSON string escaping for the batch report.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders a health ledger as a JSON array of degradation objects.
 pub fn health_json(health: &PipelineHealth) -> String {
@@ -33,10 +15,10 @@ pub fn health_json(health: &PipelineHealth) -> String {
         .iter()
         .map(|d| {
             format!(
-                "{{\"phase\":\"{}\",\"error\":\"{}\",\"fallback\":\"{}\"}}",
+                "{{\"phase\":\"{}\",\"error\":{},\"fallback\":{}}}",
                 d.phase,
-                json_escape(&d.error.to_string()),
-                json_escape(&d.fallback.to_string())
+                json_string(&d.error.to_string()),
+                json_string(&d.fallback.to_string())
             )
         })
         .collect();

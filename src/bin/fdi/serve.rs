@@ -37,10 +37,13 @@
 //!
 //! ## Observability
 //!
-//! The daemon's engine always emits into a [`fdi_telemetry::MetricsRegistry`]
-//! (windowed counters, gauges, per-span duration histograms) and a
+//! The daemon's engine always emits into its own
+//! [`fdi_telemetry::MetricsRegistry`] (windowed counters, gauges, per-span
+//! duration histograms) and into the daemon's
 //! [`fdi_telemetry::FlightRecorder`] (bounded ring of the last requests plus
-//! notable incidents). `{"op":"metrics"}` returns the registry as JSON;
+//! notable incidents). The daemon records its own request series into the
+//! engine's registry, so `stats`, `health` and `metrics` are views of one
+//! set of counts. `{"op":"metrics"}` returns the registry as JSON;
 //! with `"format":"text"` the payload is the Prometheus text exposition
 //! format instead (also `fdi client metrics --metrics-text`).
 //! `{"op":"flight"}` dumps the recorder. With `--store DIR` the recorder
@@ -83,11 +86,11 @@
 
 use crate::batch::{apply_job_flags, resolve_source};
 use crate::opts::usage;
-use crate::report::{health_json, json_escape, passes_json};
+use crate::report::{health_json, passes_json};
 use fdi_core::{FaultPlan, PipelineConfig, Telemetry};
 use fdi_engine::{Engine, EngineConfig, Job};
-use fdi_telemetry::json::{self, Json};
-use fdi_telemetry::{Fanout, FlightEntry, FlightRecorder, MetricsRegistry};
+use fdi_telemetry::json::{self, json_string, Json};
+use fdi_telemetry::{FlightEntry, FlightRecorder};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -107,11 +110,11 @@ const FLIGHT_CAPACITY: usize = 64;
 
 /// Shared daemon state, one per process.
 struct Server {
+    /// The engine; its metrics registry is the daemon's too.
     engine: Engine,
-    /// The engine's telemetry handle (always on; also the flight time base).
+    /// The flight recorder's telemetry handle, shared with the engine (also
+    /// the flight time base).
     telemetry: Telemetry,
-    /// Live counters/gauges/histograms, fed by the engine's event stream.
-    metrics: Arc<MetricsRegistry>,
     /// The last-requests ring, write-through-backed when a store is set.
     flight: Arc<FlightRecorder>,
     /// The store directory, for flight dumps (panic, drain).
@@ -141,9 +144,20 @@ enum Reply {
 fn err(kind: &str, message: &str, trace: &str) -> String {
     format!(
         "{{\"ok\":false,\"proto\":{PROTO_VERSION},\"trace_id\":\"{trace}\",\
-         \"kind\":\"{kind}\",\"error\":\"{}\"}}",
-        json_escape(message)
+         \"kind\":\"{kind}\",\"error\":{}}}",
+        json_string(message)
     )
+}
+
+/// A successful control reply: the common envelope, then `fields`.
+fn reply<const N: usize>(op: &str, trace: &str, fields: [(&str, Json); N]) -> String {
+    let envelope = [
+        ("ok", true.into()),
+        ("proto", PROTO_VERSION.into()),
+        ("trace_id", trace.into()),
+        ("op", op.into()),
+    ];
+    Json::obj(envelope.into_iter().chain(fields)).to_string()
 }
 
 /// `fdi serve [--port N] [--port-file FILE] [--store DIR] [--jobs N]
@@ -229,20 +243,18 @@ pub fn main(args: Vec<String>) -> ExitCode {
         },
     };
 
-    // The observability plane is always on: the registry and the flight
-    // recorder ride the engine's own telemetry stream (the
-    // `telemetry_overhead --serve` gate holds their cost under 5%). With a
-    // store, the recorder writes through to disk and re-seeds from it, so a
+    // The observability plane is always on: the flight recorder rides the
+    // engine's telemetry stream next to the engine's own registry (the
+    // `telemetry_overhead` gates hold their cost under 5%). With a store,
+    // the recorder writes through to disk and re-seeds from it, so a
     // SIGKILL'd daemon's last requests are still listed after restart.
-    let metrics = Arc::new(MetricsRegistry::new());
     let flight = Arc::new(match &store {
         Some(dir) => {
             FlightRecorder::with_writethrough(FLIGHT_CAPACITY, &dir.join("flight/requests.jsonl"))
         }
         None => FlightRecorder::with_capacity(FLIGHT_CAPACITY),
     });
-    let telemetry =
-        Telemetry::with_collector(Arc::new(Fanout::new(vec![metrics.clone(), flight.clone()])));
+    let telemetry = Telemetry::with_collector(flight.clone());
     if let Some(dir) = &store {
         // Post-mortem on panic: dump the recorder before unwinding proceeds.
         // (Contained chaos panics also land here; the dump is an overwrite,
@@ -297,7 +309,6 @@ pub fn main(args: Vec<String>) -> ExitCode {
     let server = Arc::new(Server {
         engine,
         telemetry,
-        metrics,
         flight,
         store_dir: store,
         inflight: AtomicUsize::new(0),
@@ -368,20 +379,22 @@ fn handle_request(server: &Arc<Server>, line: &str) -> Reply {
     };
     let op = req.get("op").and_then(Json::as_str);
     if let Some(op) = op {
-        server.metrics.add(&format!("serve.op.{op}"), 1);
+        server.engine.metrics().add(&format!("serve.op.{op}"), 1);
     }
     match op {
-        Some("ping") => Reply::Line(format!(
-            "{{\"ok\":true,\"proto\":{PROTO_VERSION},\"trace_id\":\"{line_trace}\",\
-             \"op\":\"ping\",\"pid\":{}}}",
-            std::process::id()
+        Some("ping") => Reply::Line(reply(
+            "ping",
+            &line_trace,
+            [("pid", u64::from(std::process::id()).into())],
         )),
-        Some("stats") => Reply::Line(format!(
-            "{{\"ok\":true,\"proto\":{PROTO_VERSION},\"trace_id\":\"{line_trace}\",\
-             \"op\":\"stats\",\"inflight\":{},\"draining\":{},\"stats\":{}}}",
-            server.inflight.load(SeqCst),
-            server.draining.load(SeqCst),
-            server.engine.stats().to_json()
+        Some("stats") => Reply::Line(reply(
+            "stats",
+            &line_trace,
+            [
+                ("inflight", (server.inflight.load(SeqCst) as u64).into()),
+                ("draining", server.draining.load(SeqCst).into()),
+                ("stats", server.engine.stats().json()),
+            ],
         )),
         Some("health") => Reply::Line(health_reply(server, &line_trace)),
         Some("metrics") => Reply::Line(metrics_reply(server, &req, &line_trace)),
@@ -400,10 +413,13 @@ fn handle_request(server: &Arc<Server>, line: &str) -> Reply {
             if let Some(dir) = &server.store_dir {
                 let _ = server.flight.dump_to(&dir.join("flight/last_flight.json"));
             }
-            Reply::Shutdown(format!(
-                "{{\"ok\":true,\"proto\":{PROTO_VERSION},\"trace_id\":\"{line_trace}\",\
-                 \"op\":\"shutdown\",\"jobs_completed\":{}}}",
-                server.engine.stats().jobs_completed
+            Reply::Shutdown(reply(
+                "shutdown",
+                &line_trace,
+                [(
+                    "jobs_completed",
+                    server.engine.stats().jobs_completed.into(),
+                )],
             ))
         }
         Some("job") => Reply::Line(handle_job(server, &req, &line_trace)),
@@ -421,54 +437,66 @@ fn handle_request(server: &Arc<Server>, line: &str) -> Reply {
 /// occupancy, and uptime, in one line.
 fn health_reply(server: &Arc<Server>, trace: &str) -> String {
     let r = server.engine.resources();
-    let stats = server.engine.stats();
-    let opt = |v: Option<u64>| v.map_or("null".to_string(), |n| n.to_string());
     // One typed reason so operators can tell the failure modes apart
     // without diffing counters: a degraded store beats cache pressure
     // (it loses durability, not just speed).
     let degraded_reason = if r.store_degraded {
-        "\"store-unwritable\"".to_string()
-    } else if stats.cache_evictions_pressure > 0 {
-        "\"cache-pressure\"".to_string()
+        Some("store-unwritable")
+    } else if server.engine.stats().cache_evictions_pressure > 0 {
+        Some("cache-pressure")
     } else {
-        "null".to_string()
+        None
     };
-    let (telemetry_events, telemetry_record_ns) = server.metrics.overhead();
+    let (telemetry_events, telemetry_record_ns) = server.engine.metrics().overhead();
     let (flight_len, flight_capacity) = server.flight.occupancy();
-    format!(
-        "{{\"ok\":true,\"proto\":{PROTO_VERSION},\"trace_id\":\"{trace}\",\
-         \"op\":\"health\",\"pid\":{},\
-         \"uptime_ms\":{},\"inflight\":{},\"max_inflight\":{},\"draining\":{},\
-         \"cache_bytes_used\":{},\"cache_bytes_limit\":{},\
-         \"store_bytes_used\":{},\"store_bytes_limit\":{},\"store_degraded\":{},\
-         \"degraded_reason\":{},\
-         \"telemetry\":{{\"events\":{},\"record_us\":{}}},\
-         \"flight\":{{\"len\":{},\"capacity\":{}}}}}",
-        std::process::id(),
-        server.started.elapsed().as_millis(),
-        server.inflight.load(SeqCst),
-        server.max_inflight,
-        server.draining.load(SeqCst),
-        r.cache_bytes_used,
-        opt(r.cache_bytes_limit),
-        opt(r.store_bytes_used),
-        opt(r.store_bytes_limit),
-        r.store_degraded,
-        degraded_reason,
-        telemetry_events,
-        telemetry_record_ns / 1_000,
-        flight_len,
-        flight_capacity,
+    let opt = |v: Option<u64>| v.map_or(Json::Null, Json::from);
+    reply(
+        "health",
+        trace,
+        [
+            ("pid", u64::from(std::process::id()).into()),
+            (
+                "uptime_ms",
+                (server.started.elapsed().as_millis() as u64).into(),
+            ),
+            ("inflight", (server.inflight.load(SeqCst) as u64).into()),
+            ("max_inflight", (server.max_inflight as u64).into()),
+            ("draining", server.draining.load(SeqCst).into()),
+            ("cache_bytes_used", r.cache_bytes_used.into()),
+            ("cache_bytes_limit", opt(r.cache_bytes_limit)),
+            ("store_bytes_used", opt(r.store_bytes_used)),
+            ("store_bytes_limit", opt(r.store_bytes_limit)),
+            ("store_degraded", r.store_degraded.into()),
+            (
+                "degraded_reason",
+                degraded_reason.map_or(Json::Null, Json::from),
+            ),
+            (
+                "telemetry",
+                Json::obj([
+                    ("events", telemetry_events.into()),
+                    ("record_us", (telemetry_record_ns / 1_000).into()),
+                ]),
+            ),
+            (
+                "flight",
+                Json::obj([
+                    ("len", (flight_len as u64).into()),
+                    ("capacity", (flight_capacity as u64).into()),
+                ]),
+            ),
+        ],
     )
 }
 
-/// `{"op":"metrics"}`: refresh the registry's gauges from the engine's
-/// counters and resource footprint, then render — as JSON, or (with
-/// `"format":"text"`) as Prometheus text under a `"text"` key.
+/// `{"op":"metrics"}`: set the daemon's gauges (footprints, admission,
+/// uptime, hit rates, and the specialization cache's counters, which the
+/// inliner keeps) in the engine's registry, then render it — as JSON, or
+/// (with `"format":"text"`) as Prometheus text under a `"text"` key. Every
+/// engine count is already a registry series.
 fn metrics_reply(server: &Arc<Server>, req: &Json, trace: &str) -> String {
     let stats = server.engine.stats();
-    let r = server.engine.resources();
-    let m = &server.metrics;
+    let m = server.engine.metrics();
     let rate = |hits: u64, misses: u64| {
         let total = hits + misses;
         if total == 0 {
@@ -477,44 +505,26 @@ fn metrics_reply(server: &Arc<Server>, req: &Json, trace: &str) -> String {
             hits as f64 / total as f64
         }
     };
-    m.set_gauge("cache_bytes_used", r.cache_bytes_used as f64);
-    m.set_gauge("store_bytes_used", r.store_bytes_used.unwrap_or(0) as f64);
+    m.set_gauge("cache_bytes_used", stats.cache_bytes_used as f64);
+    m.set_gauge("store_bytes_used", stats.store_bytes_used as f64);
     m.set_gauge("inflight", server.inflight.load(SeqCst) as f64);
     m.set_gauge("max_inflight", server.max_inflight as f64);
     m.set_gauge("uptime_s", server.started.elapsed().as_secs() as f64);
     m.set_gauge("spec_hit_rate", rate(stats.spec_hits, stats.spec_misses));
     m.set_gauge("exec_hit_rate", rate(stats.exec_hits, stats.exec_misses));
     m.set_gauge("analysis_hit_rate", stats.analysis_hit_rate());
-    // Mirror the headline engine counters so one scrape answers "is the
-    // cache working" without a second `stats` round trip. (Counters
-    // semantically; exposed as gauges since the engine owns the totals.)
-    for (name, v) in [
-        ("engine.jobs_completed", stats.jobs_completed),
-        ("engine.jobs_deduped", stats.jobs_deduped),
-        ("engine.parse_hits", stats.parse_hits),
-        ("engine.analysis_hits", stats.analysis_hits),
-        ("engine.analysis_misses", stats.analysis_misses),
-        ("engine.spec_hits", stats.spec_hits),
-        ("engine.spec_misses", stats.spec_misses),
-        ("engine.exec_hits", stats.exec_hits),
-        ("engine.exec_misses", stats.exec_misses),
-        ("engine.store_hits", stats.store_hits),
-        ("engine.store_writes", stats.store_writes),
-        ("engine.workers_respawned", stats.workers_respawned),
-    ] {
-        m.set_gauge(name, v as f64);
-    }
+    m.set_gauge("engine.spec_hits", stats.spec_hits as f64);
+    m.set_gauge("engine.spec_misses", stats.spec_misses as f64);
     match req.get("format").and_then(Json::as_str) {
-        Some("text") => format!(
-            "{{\"ok\":true,\"proto\":{PROTO_VERSION},\"trace_id\":\"{trace}\",\
-             \"op\":\"metrics\",\"format\":\"text\",\"text\":\"{}\"}}",
-            json_escape(&m.to_prometheus_text())
+        Some("text") => reply(
+            "metrics",
+            trace,
+            [
+                ("format", "text".into()),
+                ("text", Json::Str(m.to_prometheus_text())),
+            ],
         ),
-        None | Some("json") => format!(
-            "{{\"ok\":true,\"proto\":{PROTO_VERSION},\"trace_id\":\"{trace}\",\
-             \"op\":\"metrics\",\"metrics\":{}}}",
-            m.to_json()
-        ),
+        None | Some("json") => reply("metrics", trace, [("metrics", m.json())]),
         Some(other) => err(
             "bad-request",
             &format!("unknown metrics format {other:?}"),
@@ -550,10 +560,9 @@ impl Drop for InflightSlot<'_> {
 fn handle_job(server: &Arc<Server>, req: &Json, line_trace: &str) -> String {
     let started = Instant::now();
     let (reply, outcome, trace, what) = handle_job_inner(server, req, line_trace);
-    server.metrics.add(&format!("serve.job.{outcome}"), 1);
-    server
-        .metrics
-        .observe_us("request", started.elapsed().as_micros() as u64);
+    let metrics = server.engine.metrics();
+    metrics.add(&format!("serve.job.{outcome}"), 1);
+    metrics.observe_us("request", started.elapsed().as_micros() as u64);
     server.flight.record_request(FlightEntry {
         trace_id: trace,
         what,
@@ -678,8 +687,8 @@ fn handle_job_inner(
     let job = Job::new(source.as_str(), config).with_trace(trace);
     let head = format!(
         "{{\"ok\":true,\"proto\":{PROTO_VERSION},\"trace_id\":\"{trace_hex}\",\
-         \"op\":\"job\",\"spec\":\"{}\",\"threshold\":{}",
-        json_escape(&spec),
+         \"op\":\"job\",\"spec\":{},\"threshold\":{}",
+        json_string(&spec),
         config.threshold
     );
 
@@ -691,7 +700,7 @@ fn handle_job_inner(
                     "{},\"cached\":true,\"degraded\":false,\"oracle_rejected\":false,",
                     "\"size_ratio\":{:.6},\"baseline_size\":{},\"optimized_size\":{},",
                     "\"sites_inlined\":{},\"decisions\":{},\"fuel_used\":{},",
-                    "\"optimized\":\"{}\"}}"
+                    "\"optimized\":{}}}"
                 ),
                 head,
                 stored.size_ratio(),
@@ -700,7 +709,7 @@ fn handle_job_inner(
                 stored.sites_inlined,
                 stored.decisions.to_json(),
                 stored.fuel_used,
-                json_escape(&stored.optimized),
+                json_string(&stored.optimized),
             ),
             "cached",
         );
@@ -737,7 +746,7 @@ fn handle_job_inner(
                     "{},\"cached\":false,\"degraded\":{},\"oracle_rejected\":{},",
                     "\"size_ratio\":{:.6},\"baseline_size\":{},\"optimized_size\":{},",
                     "\"sites_inlined\":{},\"decisions\":{},\"fuel_used\":{},",
-                    "\"passes\":{},\"health\":{},\"optimized\":\"{}\"}}"
+                    "\"passes\":{},\"health\":{},\"optimized\":{}}}"
                 ),
                 head,
                 out.health.degraded(),
@@ -750,7 +759,7 @@ fn handle_job_inner(
                 out.fuel_used,
                 passes_json(&out.passes),
                 health_json(&out.health),
-                json_escape(&fdi_lang::unparse(&out.optimized).to_string()),
+                json_string(&fdi_lang::unparse(&out.optimized).to_string()),
             ),
             "ok",
         ),

@@ -565,7 +565,10 @@ fn metrics_counters_stay_monotone_across_worker_respawns() {
                 .get("histograms")
                 .and_then(|h| h.get("job"))
                 .and_then(|h| h.get("count"))),
-            num(m.get("gauges").and_then(|g| g.get("engine.jobs_completed"))),
+            num(m
+                .get("counters")
+                .and_then(|c| c.get("engine.jobs_completed"))
+                .and_then(|c| c.get("total"))),
         )
     };
 

@@ -29,6 +29,8 @@
 //! * `{"op":"metrics"}` exposes live windowed counters, engine gauges, and
 //!   span-duration histograms (and, as `format:"text"`, valid Prometheus
 //!   text exposition), all fed by the daemon's always-on telemetry;
+//! * `stats`, the metrics JSON and the Prometheus text agree on every
+//!   engine count, because all three read the engine's one registry;
 //! * `{"op":"flight"}` lists the last requests with trace ids
 //!   byte-identical to the ones the job responses carried;
 //! * every response — including typed rejections — carries a `trace_id`,
@@ -729,16 +731,17 @@ fn metrics_op_exposes_live_counters_gauges_and_histograms() {
     );
     assert!(counter("cache.analysis.miss", "total") >= 1.0);
 
-    // Gauges mirror the engine's headline counters — nonzero after real work.
+    // The engine's counts are registry series of their own, and the
+    // specialization cache's counters (kept by the inliner) are gauges.
     let gauge = |name: &str| {
         m.get("gauges")
             .and_then(|g| g.get(name))
             .and_then(Json::as_num)
             .unwrap_or_else(|| panic!("no gauge {name:?} in {m:?}"))
     };
-    assert_eq!(gauge("engine.jobs_completed"), 2.0);
+    assert_eq!(counter("engine.jobs_completed", "total"), 2.0);
     assert!(gauge("engine.spec_hits") > 0.0, "spec cache was exercised");
-    assert!(gauge("engine.analysis_hits") >= 1.0);
+    assert!(counter("cache.analysis.hit", "total") >= 1.0);
     assert_eq!(gauge("max_inflight"), 64.0);
 
     // Histograms: the engine's job span landed, with a live 1m window.
@@ -767,6 +770,159 @@ fn metrics_op_exposes_live_counters_gauges_and_histograms() {
     let bad = daemon.request("{\"op\":\"metrics\",\"format\":\"yaml\"}");
     assert!(!is_ok(&bad));
     assert_eq!(str_field(&bad, "kind"), "bad-request");
+}
+
+/// The registry series behind each count in the `stats` reply. The engine
+/// counts every fact once, into its registry; `store_write_failures` is the
+/// sum of the three write-failure instants.
+const COUNT_SERIES: [(&str, &[&str]); 25] = [
+    ("jobs_submitted", &["engine.jobs_submitted"]),
+    ("jobs_deduped", &["engine.jobs_deduped"]),
+    ("jobs_completed", &["engine.jobs_completed"]),
+    ("jobs_retried", &["job.retry"]),
+    ("jobs_quarantined", &["job.poisoned"]),
+    ("parse_hits", &["cache.parse.hit"]),
+    ("parse_misses", &["cache.parse.miss"]),
+    ("analysis_hits", &["cache.analysis.hit"]),
+    ("analysis_misses", &["cache.analysis.miss"]),
+    ("analysis_uncached", &["engine.analysis_uncached"]),
+    ("fingerprints_computed", &["engine.fingerprints_computed"]),
+    ("cache_evictions_fault", &["cache.evict"]),
+    (
+        "cache_evictions_corruption",
+        &["engine.cache_evictions_corruption"],
+    ),
+    (
+        "cache_evictions_pressure",
+        &["engine.cache_evictions_pressure"],
+    ),
+    ("cache_corruptions_detected", &["cache.corruption_detected"]),
+    ("exec_hits", &["cache.exec.hit"]),
+    ("exec_misses", &["cache.exec.miss"]),
+    ("store_hits", &["cache.store.hit"]),
+    ("store_misses", &["cache.store.miss"]),
+    (
+        "store_corruptions_detected",
+        &["engine.store_corruptions_detected"],
+    ),
+    ("store_writes", &["engine.store_writes"]),
+    (
+        "store_write_failures",
+        &["store.write_torn", "store.full", "store.write_failed"],
+    ),
+    ("profile_applied", &["engine.profile_applied"]),
+    ("profile_stale", &["profile.stale"]),
+    ("workers_respawned", &["engine.workers_respawned"]),
+];
+
+/// `stats` keys that are gauges read from their owners, with the registry
+/// gauge the daemon mirrors each into (if any) before a scrape.
+const GAUGES: [(&str, Option<&str>); 7] = [
+    ("cache_bytes_used", Some("cache_bytes_used")),
+    ("spec_hits", Some("engine.spec_hits")),
+    ("spec_misses", Some("engine.spec_misses")),
+    ("spec_evictions", None),
+    ("store_gc_evictions", None),
+    ("store_bytes_used", Some("store_bytes_used")),
+    ("queue_highwater", None),
+];
+
+/// The `*_ms` phase times in `stats`, with their nanosecond series.
+const TIMES: [(&str, &str); 4] = [
+    ("parse_ms", "engine.parse_ns"),
+    ("analysis_ms", "engine.analysis_ns"),
+    ("transform_ms", "engine.transform_ns"),
+    ("execute_ms", "engine.execute_ns"),
+];
+
+/// The value of the unlabelled Prometheus sample `name` (0 when absent:
+/// a series nobody recorded is not rendered).
+fn prom_sample(text: &str, name: &str) -> f64 {
+    text.lines()
+        .filter_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .map(|v| v.parse().expect("numeric sample"))
+        .next()
+        .unwrap_or(0.0)
+}
+
+/// `stats`, the metrics JSON and the Prometheus text are views of one
+/// registry: after a cold job, a second threshold on the same source (an
+/// analysis-cache hit) and a repeat served from the store, every count in
+/// `stats` equals the same fact on the other two surfaces.
+#[test]
+fn stats_metrics_and_prometheus_text_agree_on_every_count() {
+    let store = temp_dir("agree");
+    let daemon = Daemon::spawn(Some(&store), &["--jobs", "2"]);
+    let spec = bench_spec(&fdi_benchsuite::BENCHMARKS[0]);
+    let job = |t: &str| {
+        let req = format!("{{\"op\":\"job\",\"spec\":\"{spec}\",\"flags\":[\"-t\",\"{t}\"]}}");
+        daemon.request(&req).get("cached").cloned()
+    };
+    assert_eq!(job("200"), Some(Json::Bool(false)), "cold");
+    assert_eq!(job("100"), Some(Json::Bool(false)), "second threshold");
+    assert_eq!(job("200"), Some(Json::Bool(true)), "store hit");
+
+    let stats_reply = daemon.request("{\"op\":\"stats\"}");
+    let stats = stats_reply.get("stats").expect("stats payload");
+    let metrics_reply = daemon.request("{\"op\":\"metrics\"}");
+    let m = metrics_reply.get("metrics").expect("metrics payload");
+    let text_reply = daemon.request("{\"op\":\"metrics\",\"format\":\"text\"}");
+    let text = str_field(&text_reply, "text");
+
+    let series_total = |name: &str| {
+        m.get("counters")
+            .and_then(|c| c.get(name))
+            .map_or(0.0, |c| num_field(c, "total"))
+    };
+    let prom_total = |name: &str| {
+        let metric: String = name
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+            .collect();
+        prom_sample(text, &format!("fdi_{metric}_total"))
+    };
+    for (key, value) in stats.as_obj().expect("stats object") {
+        if let Some((_, series)) = COUNT_SERIES.iter().find(|(k, _)| k == key) {
+            let want = value.as_num().expect("numeric count");
+            let json: f64 = series.iter().map(|s| series_total(s)).sum();
+            let prom: f64 = series.iter().map(|s| prom_total(s)).sum();
+            assert_eq!(json, want, "{key}: metrics JSON disagrees with stats");
+            assert_eq!(prom, want, "{key}: Prometheus text disagrees with stats");
+        } else if let Some((_, gauge)) = GAUGES.iter().find(|(k, _)| k == key) {
+            if let Some(gauge) = gauge {
+                let json = m.get("gauges").and_then(|g| g.get(gauge));
+                assert_eq!(json, Some(value), "{key}: gauge {gauge} disagrees");
+            }
+        } else if let Some((_, ns)) = TIMES.iter().find(|(k, _)| k == key) {
+            assert_eq!(series_total(ns) / 1e6, value.as_num().unwrap(), "{key}");
+        } else if key == "passes" {
+            for (pass, fields) in value.as_obj().expect("passes object") {
+                for field in ["runs", "fuel"] {
+                    let series = format!("engine.pass.{pass}.{field}");
+                    let want = num_field(fields, field);
+                    assert_eq!(series_total(&series), want, "{series}");
+                    assert_eq!(prom_total(&series), want, "{series}");
+                }
+                let ns = series_total(&format!("engine.pass.{pass}.ns"));
+                assert_eq!(ns / 1e6, num_field(fields, "ms"), "{pass} ms");
+            }
+        } else if key == "telemetry" {
+            let decisions = value.get("decisions").expect("decision totals");
+            assert_eq!(m.get("decisions"), Some(decisions), "decision totals");
+            for (reason, n) in decisions.as_obj().unwrap() {
+                let line = format!("fdi_inline_decisions_total{{reason=\"{reason}\"}}");
+                assert_eq!(prom_sample(text, &line), n.as_num().unwrap(), "{reason}");
+            }
+        } else {
+            panic!("stats key {key:?} is on no other surface");
+        }
+    }
+    // The scenario really exercised the counts it claims to compare.
+    assert_eq!(num_field(stats, "jobs_completed"), 2.0);
+    assert_eq!(num_field(stats, "store_hits"), 1.0);
+    assert!(num_field(stats, "analysis_hits") >= 1.0);
+    assert!(num_field(stats, "store_writes") >= 1.0);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]

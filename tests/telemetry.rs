@@ -9,7 +9,7 @@
 use fdi_core::{
     optimize, run, DecisionReason, DecisionRecord, PipelineConfig, Request, Telemetry, Verdict,
 };
-use fdi_telemetry::{validate_chrome_trace, RingSink};
+use fdi_telemetry::{validate_chrome_trace, MetricsRegistry, RingSink};
 use std::sync::Arc;
 
 fn decisions_at(src: &str, threshold: usize) -> Vec<DecisionRecord> {
@@ -227,4 +227,26 @@ fn engine_stats_aggregate_decisions() {
     assert!(stats
         .to_json()
         .contains("\"telemetry\":{\"decisions\":{\"inlined\":2,"));
+}
+
+/// A metrics registry reads the CFA's sampled counters as their latest
+/// value: after one analysis of `lattice`, `cfa.steps` and `cfa.contours`
+/// are that analysis's totals, not the sum of every sample on the way.
+#[test]
+fn registry_reads_cfa_samples_as_the_final_value() {
+    let bench = fdi_benchsuite::BENCHMARKS
+        .iter()
+        .find(|b| b.name == "lattice")
+        .expect("lattice benchmark");
+    let src = bench.scaled(bench.test_scale);
+    let registry = Arc::new(MetricsRegistry::new());
+    let request = Request {
+        telemetry: Telemetry::with_collector(registry.clone()),
+        ..Request::source(&src, PipelineConfig::with_threshold(200))
+    };
+    let out = run(&request).expect("pipeline");
+    let stats = &out.flow_stats;
+    assert!(stats.steps > 1024, "more than one sample was taken");
+    assert_eq!(registry.gauge("cfa.steps"), Some(stats.steps as f64));
+    assert_eq!(registry.gauge("cfa.contours"), Some(stats.contours as f64));
 }
