@@ -36,17 +36,15 @@ struct Cell {
 const THRESHOLD: usize = 400;
 
 fn measure(program: &Program, eliminate: bool, cfg: &RunConfig) -> Result<Cell, PipelineError> {
-    let elim = if eliminate {
+    let mut elim = if eliminate {
         let flow = fdi_cfa::analyze(program, Polyvariance::PolymorphicSplitting);
-        Some(fdi_checks::eliminate_checks(program, &flow))
+        fdi_checks::eliminate_checks(program, &flow)
     } else {
-        None
+        fdi_checks::CheckElim::default()
     };
-    let r = fdi_vm::run_with_checks(program, cfg, elim.as_ref().map(|e| &e.safe)).map_err(|e| {
-        PipelineError::Vm {
-            threshold: THRESHOLD,
-            message: e.message,
-        }
+    let r = fdi_vm::run_observed(program, cfg, &mut elim).map_err(|e| PipelineError::Vm {
+        threshold: THRESHOLD,
+        message: e.message,
     })?;
     Ok(Cell {
         total: r.counters.total(&cfg.model),

@@ -18,7 +18,7 @@
 use fdi_benchsuite::{Benchmark, BENCHMARKS};
 use fdi_core::{
     analyze_contained, run, Input, PipelineConfig, PipelineError, Polyvariance, Request, RunConfig,
-    SweepRow,
+    SweepRow, Telemetry,
 };
 use fdi_engine::{Engine, Job};
 use std::sync::Arc;
@@ -56,7 +56,7 @@ pub fn table1_row(b: &Benchmark, scale: u32) -> Result<Table1Row, PipelineError>
     // The analysis is threshold-independent: run it once and share it across
     // the row, exactly as `fdi_core::sweep` and the batch engine do.
     let config = PipelineConfig::default();
-    let analysis = analyze_contained(&program, &config);
+    let analysis = analyze_contained(&program, &config, &Telemetry::off());
     let mut ratios = Vec::new();
     let mut warnings = Vec::new();
     let mut analysis_secs = 0.0;

@@ -9,9 +9,10 @@
 //! `+` checks for numbers, …). This pass consults the same flow analysis
 //! the inliner uses: a check whose argument's abstract value is contained in
 //! the required kind can never fail, so the tag test is eliminated. The
-//! result is a set of `(primitive label, argument index)` pairs that the
-//! [`fdi_vm`](../fdi_vm) cost model exempts from its per-check charge —
-//! safety is preserved because only *provably* redundant checks go.
+//! result is a set of `(primitive label, argument index)` pairs; a
+//! [`CheckElim`] is the [`fdi_vm::Observer`] that exempts them from the cost
+//! model's per-check charge in [`fdi_vm::run_observed`] — safety is
+//! preserved because only *provably* redundant checks go.
 //!
 //! Because inlining specializes procedures per call site, re-analyzing the
 //! inlined program proves more arguments well-typed than the original — the
@@ -76,6 +77,13 @@ pub struct CheckElim {
     pub report: CheckReport,
 }
 
+/// Elides exactly the proven-safe checks.
+impl fdi_vm::Observer for CheckElim {
+    fn check_elided(&self, prim: Label, arg: usize) -> bool {
+        self.safe.contains(&(prim, arg))
+    }
+}
+
 /// Does every abstract value in `vals` lie within `kind`?
 ///
 /// An empty set means the argument is never evaluated — vacuously safe.
@@ -103,12 +111,10 @@ pub fn eliminate_checks(program: &Program, flow: &FlowAnalysis) -> CheckElim {
             continue;
         };
         for &(idx, kind) in p.checked_args() {
-            let positions: Vec<usize> = if idx == u8::MAX {
-                (0..args.len()).collect()
-            } else if (idx as usize) < args.len() {
-                vec![idx as usize]
-            } else {
-                Vec::new() // optional argument not supplied
+            // Every argument, or the one at `idx` if it was supplied.
+            let positions = match idx {
+                u8::MAX => 0..args.len(),
+                idx => idx as usize..args.len().min(idx as usize + 1),
             };
             for pos in positions {
                 out.report.checks_total += 1;

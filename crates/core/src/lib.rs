@@ -66,7 +66,7 @@ pub use fdi_simplify::SimplifyStats;
 pub use fdi_telemetry::{
     DecisionReason, DecisionRecord, DecisionTotals, Telemetry, Verdict, REASON_KEYS,
 };
-pub use fdi_vm::{CostModel, Counters, Outcome, RunConfig, SiteCost, VmError};
+pub use fdi_vm::{CostModel, Counters, Outcome, RunConfig, VmError};
 pub use fingerprint::{source_fingerprint, trace_id, trace_id_hex, Fingerprint};
 pub use oracle::{
     compare_observations, observe, validate_equivalence, Observation, OracleConfig, OracleVerdict,
@@ -438,7 +438,8 @@ pub fn parse_contained(src: &str) -> Result<Program, PipelineError> {
 }
 
 /// Runs the analysis phase alone, exactly as the pipeline would: under
-/// panic containment, with the configuration's policy and limits.
+/// panic containment, with the configuration's policy and limits, emitting
+/// the solver's `cfa.*` telemetry into `telemetry`.
 ///
 /// This is the compute half of the engine's analysis cache: the result is
 /// threshold-independent, so one call serves every transform-side
@@ -457,9 +458,10 @@ pub fn parse_contained(src: &str) -> Result<Program, PipelineError> {
 pub fn analyze_contained(
     program: &Program,
     config: &PipelineConfig,
+    telemetry: &Telemetry,
 ) -> Result<FlowAnalysis, PipelineError> {
     run_phase(Phase::Analysis, || {
-        fdi_cfa::analyze_with_limits(program, config.policy, config.limits)
+        fdi_cfa::analyze_instrumented(program, config.policy, config.limits, telemetry)
     })
 }
 
@@ -585,7 +587,7 @@ fn sweep_program(
     all.extend(thresholds.iter().copied().filter(|&t| t != 0));
     let shared = config
         .reuses_analysis()
-        .then(|| analyze_contained(program, config));
+        .then(|| analyze_contained(program, config, &Telemetry::off()));
     let input = Input::Program {
         program,
         analysis: shared.as_ref().map(Result::as_ref),
@@ -971,7 +973,7 @@ mod tests {
                    ((compose inc inc) 40)";
         let program = fdi_lang::parse_and_lower(src).unwrap();
         let config = PipelineConfig::with_threshold(300);
-        let flow = analyze_contained(&program, &config).unwrap();
+        let flow = analyze_contained(&program, &config, &Telemetry::off()).unwrap();
         let shared = run(&Request {
             input: Input::Program {
                 program: &program,

@@ -1150,11 +1150,12 @@ fn cached_artifacts(
     let analysis_started = Instant::now();
     let analysis_program = program.clone();
     let config = job.config;
+    let telemetry = &inner.telemetry;
     inner.metrics.add("engine.fingerprints_computed", 1);
     let (analysis, hit) = inner
         .analyses
         .get_or_compute((src_key, job.config.analysis_fingerprint()), move || {
-            analyze_contained(&analysis_program, &config).map(Arc::new)
+            analyze_contained(&analysis_program, &config, telemetry).map(Arc::new)
         });
     add_time(&inner.metrics, "engine.analysis_ns", analysis_started);
     inner

@@ -135,10 +135,11 @@ impl Default for InlineRuntime<'static> {
 ///
 /// Keys are site labels exactly as [`DecisionRecord::site_label`] renders
 /// them (`"l17"`); values are the estimated mutator cost inlining the site
-/// would save — dynamic call count × per-call overhead, as measured by
-/// `fdi_vm::run_profiled`. Sites absent from the guide have benefit 0. Under
-/// a size budget ([`inline_program_budgeted`]) the guide replaces syntactic
-/// traversal order with benefit order, so hot sites claim the budget first.
+/// would save — dynamic call count × per-call overhead, as `fdi-profile`
+/// tallies it through the VM's `fdi_vm::Observer::call` hook. Sites absent
+/// from the guide have benefit 0. Under a size budget
+/// ([`inline_program_budgeted`]) the guide replaces syntactic traversal
+/// order with benefit order, so hot sites claim the budget first.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InlineGuide {
     benefits: HashMap<String, u64>,

@@ -4,9 +4,10 @@
 //! flow information; this crate supplies the *ordering* evidence a size
 //! budget needs: how hot each call site actually is. A [`Profile`] is
 //! collected by running the **original lowered program** on the cost-model
-//! VM with per-site attribution ([`fdi_vm::run_profiled`]) — the same
-//! program the inliner's decision provenance labels its sites against, so
-//! the profile's site labels (`l17`, …) and a
+//! VM ([`fdi_vm::run_observed`]) under an [`fdi_vm::Observer`] that tallies
+//! each call site's calls and cost — the same program the inliner's
+//! decision provenance labels its sites against, so the profile's site
+//! labels (`l17`, …) and a
 //! [`fdi_telemetry::DecisionRecord::site_label`] name the same call sites.
 //!
 //! # The artifact
@@ -31,8 +32,10 @@
 use fdi_core::framing::{decode_frame, encode_frame};
 use fdi_core::source_fingerprint;
 use fdi_inline::InlineGuide;
-use fdi_telemetry::json::{json_string, parse, Json};
-use fdi_vm::RunConfig;
+use fdi_lang::Label;
+use fdi_telemetry::json::{parse, Json};
+use fdi_vm::{Observer, RunConfig};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -52,6 +55,23 @@ pub struct SiteProfile {
     pub cost: u64,
 }
 
+/// Each call site's row, keyed by label so the rows come out in numeric
+/// label order (`l9` before `l10`).
+#[derive(Default)]
+struct SiteTally(BTreeMap<Label, SiteProfile>);
+
+impl Observer for SiteTally {
+    fn call(&mut self, site: Label, cost: u64) {
+        let row = self.0.entry(site).or_insert_with(|| SiteProfile {
+            site: site.to_string(),
+            calls: 0,
+            cost: 0,
+        });
+        row.calls += 1;
+        row.cost += cost;
+    }
+}
+
 /// A persistent, checksummed call-site profile of one source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profile {
@@ -68,7 +88,7 @@ pub struct Profile {
     pub total_calls: u64,
     /// Total mutator cost attributed to call linkage over the run.
     pub total_cost: u64,
-    /// Per-site rows, sorted by label (the VM's deterministic order).
+    /// Per-site rows, sorted by numeric label.
     pub sites: Vec<SiteProfile>,
 }
 
@@ -106,7 +126,8 @@ impl fmt::Display for ProfileError {
 
 impl Profile {
     /// Collects a profile by running `src` (with `entry` appended, when
-    /// given) on the cost-model VM with per-site attribution.
+    /// given) on the cost-model VM, tallying each call site's calls and
+    /// linkage cost.
     ///
     /// The profile is keyed by `src` alone: the entry expression is a
     /// driver, not part of the program the profile will later guide.
@@ -126,16 +147,10 @@ impl Profile {
         };
         let program = fdi_lang::parse_and_lower(&combined)
             .map_err(|e| ProfileError::Frontend(e.to_string()))?;
-        let (outcome, sites) =
-            fdi_vm::run_profiled(&program, config).map_err(|e| ProfileError::Vm(e.message))?;
-        let sites: Vec<SiteProfile> = sites
-            .into_iter()
-            .map(|s| SiteProfile {
-                site: s.site.to_string(),
-                calls: s.calls,
-                cost: s.cost,
-            })
-            .collect();
+        let mut tally = SiteTally::default();
+        let outcome = fdi_vm::run_observed(&program, config, &mut tally)
+            .map_err(|e| ProfileError::Vm(e.message))?;
+        let sites: Vec<SiteProfile> = tally.0.into_values().collect();
         Ok(Profile {
             source_fp: source_fingerprint(src),
             entry: entry.map(str::to_string),
@@ -175,36 +190,24 @@ impl Profile {
     /// are 16-hex-digit strings (JSON numbers are doubles and cannot carry a
     /// full `u64`).
     pub fn to_json(&self) -> String {
-        let sites: Vec<String> = self
-            .sites
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"site\":{},\"calls\":{},\"cost\":{}}}",
-                    json_string(&s.site),
-                    s.calls,
-                    s.cost
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"v\":{},\"source_fp\":\"{:016x}\",\"entry\":{},",
-                "\"call_overhead\":{},\"call_per_arg\":{},",
-                "\"total_calls\":{},\"total_cost\":{},\"sites\":[{}]}}"
-            ),
-            PROFILE_VERSION,
-            self.source_fp,
-            match &self.entry {
-                Some(e) => json_string(e),
-                None => "null".to_string(),
-            },
-            self.call_overhead,
-            self.call_per_arg,
-            self.total_calls,
-            self.total_cost,
-            sites.join(",")
-        )
+        let sites = self.sites.iter().map(|s| {
+            Json::obj([
+                ("site", Json::from(s.site.as_str())),
+                ("calls", s.calls.into()),
+                ("cost", s.cost.into()),
+            ])
+        });
+        Json::obj([
+            ("v", PROFILE_VERSION.into()),
+            ("source_fp", Json::Str(format!("{:016x}", self.source_fp))),
+            ("entry", self.entry.clone().map_or(Json::Null, Json::Str)),
+            ("call_overhead", self.call_overhead.into()),
+            ("call_per_arg", self.call_per_arg.into()),
+            ("total_calls", self.total_calls.into()),
+            ("total_cost", self.total_cost.into()),
+            ("sites", Json::Arr(sites.collect())),
+        ])
+        .to_string()
     }
 
     /// Decodes [`Profile::to_json`].

@@ -13,6 +13,11 @@
 //! Fig. 6 does — mutator time falls, collector time moves only when closure
 //! allocation changes.
 //!
+//! [`run`] executes a program; [`run_observed`] executes it under an
+//! [`Observer`], which sees each call's site and linkage cost (the
+//! profiler's data) and decides which tag checks are elided (check
+//! elimination's). `run` is `run_observed` with the no-op observer `()`.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,7 +38,7 @@ mod resolve;
 mod value;
 
 pub use cost::{CostModel, Counters};
-pub use machine::{run, run_profiled, run_with_checks, Outcome, RunConfig, SiteCost, VmError};
+pub use machine::{run, run_observed, Observer, Outcome, RunConfig, VmError};
 pub use resolve::{resolve, Code, LambdaCode, Resolved, VarRef};
 pub use value::{ClosId, PairId, StrId, Value, VecId};
 
@@ -275,6 +280,35 @@ mod tests {
         assert!(out.counters.mutator >= 3 * CostModel::default().call_overhead);
     }
 
+    #[derive(Debug, PartialEq)]
+    struct Site {
+        site: fdi_lang::Label,
+        calls: u64,
+        cost: u64,
+    }
+
+    /// Tallies each call site's calls and cost, in label order.
+    #[derive(Default)]
+    struct Tally(std::collections::BTreeMap<fdi_lang::Label, Site>);
+
+    impl Observer for Tally {
+        fn call(&mut self, site: fdi_lang::Label, cost: u64) {
+            let s = self.0.entry(site).or_insert(Site {
+                site,
+                calls: 0,
+                cost: 0,
+            });
+            s.calls += 1;
+            s.cost += cost;
+        }
+    }
+
+    fn run_tallied(p: &fdi_lang::Program) -> (Outcome, Vec<Site>) {
+        let mut tally = Tally::default();
+        let out = run_observed(p, &RunConfig::default(), &mut tally).unwrap();
+        (out, tally.0.into_values().collect())
+    }
+
     #[test]
     fn profiled_run_attributes_every_call() {
         let src = "(define (f x) x)
@@ -282,7 +316,7 @@ mod tests {
                    (begin (g 1) (g 2) (apply f '(3)))";
         let p = parse_and_lower(src).unwrap();
         let plain = run(&p, &RunConfig::default()).unwrap();
-        let (out, sites) = run_profiled(&p, &RunConfig::default()).unwrap();
+        let (out, sites) = run_tallied(&p);
         // Profiling changes no observable behaviour or counter.
         assert_eq!(out.value, plain.value);
         assert_eq!(out.counters, plain.counters);
@@ -308,8 +342,8 @@ mod tests {
                                     (if (zero? n) acc (loop (- n 1) (add acc n))))))
                      (loop 50 0))";
         let p = parse_and_lower(src).unwrap();
-        let (a, sa) = run_profiled(&p, &RunConfig::default()).unwrap();
-        let (b, sb) = run_profiled(&p, &RunConfig::default()).unwrap();
+        let (a, sa) = run_tallied(&p);
+        let (b, sb) = run_tallied(&p);
         assert_eq!(a.value, b.value);
         assert_eq!(sa, sb);
     }

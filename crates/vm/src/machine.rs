@@ -32,7 +32,7 @@ use crate::resolve::{resolve, Code, LambdaCode, Resolved, VarRef};
 use crate::value::{ClosId, PairId, StrId, Value, VecId};
 use fdi_lang::{Const, Label, Program, Sym};
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Run configuration.
 #[derive(Debug, Clone, Copy)]
@@ -86,6 +86,27 @@ impl std::fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
+/// What a caller watches of a run, through [`run_observed`]. Both hooks
+/// default to doing nothing; the machine is compiled per observer, so the
+/// no-op `()` that [`run`] passes costs nothing.
+pub trait Observer {
+    /// A procedure was entered from the call expression at `site`, charged
+    /// `cost` mutator units of linkage: `call_overhead + call_per_arg ×
+    /// argc`, plus the per-element spread cost at `apply` sites — exactly
+    /// the overhead inlining the site would eliminate.
+    fn call(&mut self, _site: Label, _cost: u64) {}
+
+    /// Whether the tag check of argument `arg` of the primitive at `prim`
+    /// is proven redundant, exempting it from
+    /// [`CostModel::type_check_cost`]. Asked once per static check position
+    /// before the run starts.
+    fn check_elided(&self, _prim: Label, _arg: usize) -> bool {
+        false
+    }
+}
+
+impl Observer for () {}
+
 /// Resolves and runs `program`.
 ///
 /// # Errors
@@ -101,19 +122,23 @@ impl std::error::Error for VmError {}
 /// assert_eq!(out.value, "3");
 /// ```
 pub fn run(program: &Program, config: &RunConfig) -> Result<Outcome, VmError> {
-    run_with_checks(program, config, None)
+    run_observed(program, config, &mut ())
 }
 
-/// Like [`run`], with a set of `(primitive label, argument index)` tag
-/// checks proven redundant by check elimination (`fdi-checks`); those
-/// positions are exempt from the [`CostModel::type_check_cost`] charge.
-pub fn run_with_checks(
+/// Like [`run`], reporting the run to `observer`: the profiler
+/// (`fdi-profile`) tallies each call site's calls and cost, and check
+/// elimination (`fdi-checks`) elides the tag checks it proved redundant.
+///
+/// # Errors
+///
+/// Exactly [`run`]'s contract.
+pub fn run_observed<O: Observer>(
     program: &Program,
     config: &RunConfig,
-    safe_checks: Option<&HashSet<(Label, usize)>>,
+    observer: &mut O,
 ) -> Result<Outcome, VmError> {
     let resolved = resolve(program);
-    Machine::new(program, &resolved, config, safe_checks).run()
+    Machine::new(program, &resolved, config, observer).run()
 }
 
 /// What a test can see of a run besides its outcome.
@@ -131,54 +156,10 @@ pub(crate) struct Probe {
 #[cfg(test)]
 pub(crate) fn run_probed(program: &Program) -> Result<(Outcome, Probe), VmError> {
     let resolved = resolve(program);
-    let mut m = Machine::new(program, &resolved, &RunConfig::default(), None);
+    let mut observer = ();
+    let mut m = Machine::new(program, &resolved, &RunConfig::default(), &mut observer);
     let outcome = m.run()?;
     Ok((outcome, m.probe))
-}
-
-/// One call site's dynamic execution totals, as gathered by [`run_profiled`].
-///
-/// `cost` is the mutator cost the machine charged to calls entered from this
-/// site: `calls × (call_overhead + call_per_arg × argc)`, plus the
-/// per-element spread cost at `apply` sites — exactly the per-call overhead
-/// inlining the site would eliminate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteCost {
-    /// The call expression's label in the executed program.
-    pub site: Label,
-    /// Dynamic calls entered from this site.
-    pub calls: u64,
-    /// Total mutator cost charged to those calls.
-    pub cost: u64,
-}
-
-/// Like [`run`], additionally attributing dynamic call counts and per-call
-/// mutator cost to each call site's [`Label`] — the profiler's data source.
-///
-/// The returned sites are sorted by label, so the output is deterministic.
-/// Per-site `calls`/`cost` always sum to the run's [`Counters::calls`] and
-/// its call-overhead share of [`Counters::mutator`].
-///
-/// # Errors
-///
-/// Exactly [`run`]'s contract; a failed run yields no profile.
-pub fn run_profiled(
-    program: &Program,
-    config: &RunConfig,
-) -> Result<(Outcome, Vec<SiteCost>), VmError> {
-    let resolved = resolve(program);
-    let mut m = Machine::new(program, &resolved, config, None);
-    m.sites = Some(HashMap::new());
-    let outcome = m.run()?;
-    let mut sites: Vec<SiteCost> = m
-        .sites
-        .take()
-        .expect("profiling map installed above")
-        .into_iter()
-        .map(|(site, (calls, cost))| SiteCost { site, calls, cost })
-        .collect();
-    sites.sort_unstable_by_key(|s| s.site);
-    Ok((outcome, sites))
 }
 
 /// Parent of an activation's outermost frame.
@@ -265,7 +246,7 @@ struct ClosureData {
     len: u32,
 }
 
-pub(crate) struct Machine<'p> {
+pub(crate) struct Machine<'p, O> {
     pub(crate) program: &'p Program,
     /// Tag checks per primitive label (see [`check_table`]).
     pub(crate) checks: Vec<u32>,
@@ -287,25 +268,22 @@ pub(crate) struct Machine<'p> {
     pub(crate) rng: u64,
     pub(crate) output: String,
     pub(crate) max_output: usize,
-    /// Per-call-site `(calls, cost)` attribution; `Some` only under
-    /// [`run_profiled`].
-    sites: Option<HashMap<Label, (u64, u64)>>,
+    observer: &'p mut O,
     #[cfg(test)]
     probe: Probe,
 }
 
-impl<'p> Machine<'p> {
-    /// A machine about to run `res`, with the tag checks at `safe_checks`
-    /// exempt from charges.
+impl<'p, O: Observer> Machine<'p, O> {
+    /// A machine about to run `res`, reporting to `observer`.
     fn new(
         program: &'p Program,
         res: &'p Resolved,
         config: &RunConfig,
-        safe_checks: Option<&HashSet<(Label, usize)>>,
-    ) -> Machine<'p> {
+        observer: &'p mut O,
+    ) -> Machine<'p, O> {
         Machine {
             program,
-            checks: check_table(res, safe_checks),
+            checks: check_table(res, &*observer),
             res,
             pairs: Vec::new(),
             vectors: Vec::new(),
@@ -320,7 +298,7 @@ impl<'p> Machine<'p> {
             rng: config.seed,
             output: String::new(),
             max_output: config.max_output,
-            sites: None,
+            observer,
             #[cfg(test)]
             probe: Probe::default(),
         }
@@ -658,8 +636,8 @@ impl<'p> Machine<'p> {
     }
 
     /// Performs a procedure call on the top `argc` stack values: arity
-    /// check, rest-list collection, cost accounting (attributed to the call
-    /// expression at `site` when profiling). Moves the callee's frame down
+    /// check, rest-list collection, cost accounting (reported to the
+    /// observer against the call expression at `site`). Moves the callee's frame down
     /// to the top continuation's stack height and returns its body.
     fn enter(
         &mut self,
@@ -685,11 +663,7 @@ impl<'p> Machine<'p> {
         let cost = self.model.call_overhead + self.model.call_per_arg * argc as u64 + extra_cost;
         self.counters.calls += 1;
         self.counters.mutator += cost;
-        if let Some(sites) = self.sites.as_mut() {
-            let entry = sites.entry(site).or_insert((0, 0));
-            entry.0 += 1;
-            entry.1 += cost;
-        }
+        self.observer.call(site, cost);
         let args = r.stack.len() - argc;
         if lc.rest {
             let mut rest = Value::Nil;

@@ -2,9 +2,19 @@
 //! behaviour, primitive edge cases, and check accounting.
 
 use crate::machine::run_probed;
-use crate::{run, run_with_checks, CostModel, RunConfig};
-use fdi_lang::parse_and_lower;
+use crate::{run, run_observed, CostModel, Observer, RunConfig};
+use fdi_lang::{parse_and_lower, Label};
 use std::collections::HashSet;
+
+/// Elides the tag checks at its `(primitive label, argument index)` pairs,
+/// as check elimination does.
+struct Elided(HashSet<(Label, usize)>);
+
+impl Observer for Elided {
+    fn check_elided(&self, prim: Label, arg: usize) -> bool {
+        self.0.contains(&(prim, arg))
+    }
+}
 
 fn eval(src: &str) -> String {
     let p = parse_and_lower(src).unwrap();
@@ -294,10 +304,9 @@ fn safe_set_exempts_positions() {
             )
         })
         .unwrap();
-    let mut safe = HashSet::new();
-    safe.insert((car_label, 0usize));
-    let with = run_with_checks(&p, &cfg, Some(&safe)).unwrap();
-    let without = run_with_checks(&p, &cfg, None).unwrap();
+    let mut elim = Elided(HashSet::from([(car_label, 0usize)]));
+    let with = run_observed(&p, &cfg, &mut elim).unwrap();
+    let without = run(&p, &cfg).unwrap();
     assert_eq!(without.counters.checks, with.counters.checks + 1);
     assert_eq!(without.counters.mutator, with.counters.mutator + 7);
 }

@@ -1,10 +1,9 @@
 //! Concrete primitive semantics for the machine.
 
-use crate::machine::{Machine, VmError};
+use crate::machine::{Machine, Observer, VmError};
 use crate::resolve::{Code, Resolved};
 use crate::value::Value;
 use fdi_lang::{Label, PrimOp};
-use std::collections::HashSet;
 
 macro_rules! numeric_fold {
     ($self:ident, $vals:expr, $int_op:expr, $float_op:expr) => {{
@@ -38,16 +37,15 @@ macro_rules! numeric_cmp {
 }
 
 /// The tag checks each primitive application performs, indexed by label (0
-/// at other labels): one per checked argument position that check
-/// elimination has not listed in `safe`.
-pub(crate) fn check_table(res: &Resolved, safe: Option<&HashSet<(Label, usize)>>) -> Vec<u32> {
+/// at other labels): one per checked argument position that `observer`
+/// does not elide.
+pub(crate) fn check_table(res: &Resolved, observer: &impl Observer) -> Vec<u32> {
     res.codes()
         .map(|(label, code)| {
             let Code::Prim(p, ops) = code else {
                 return 0;
             };
-            let checked =
-                |pos: usize| pos < ops.len() && safe.is_none_or(|s| !s.contains(&(label, pos)));
+            let checked = |pos: usize| pos < ops.len() && !observer.check_elided(label, pos);
             p.checked_args()
                 .iter()
                 .map(|&(idx, _)| match idx {
@@ -59,7 +57,7 @@ pub(crate) fn check_table(res: &Resolved, safe: Option<&HashSet<(Label, usize)>>
         .collect()
 }
 
-impl Machine<'_> {
+impl<O: Observer> Machine<'_, O> {
     /// Applies the primitive at `label` to `vals`, charging its cost —
     /// including its tag checks from the run's check table.
     pub(crate) fn apply_prim(&mut self, label: Label, vals: &[Value]) -> Result<Value, VmError> {

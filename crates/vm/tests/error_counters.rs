@@ -12,9 +12,9 @@
 mod common;
 
 use common::fingerprint;
+use fdi_checks::CheckElim;
 use fdi_lang::{parse_and_lower, ExprKind, Label, Program};
-use fdi_vm::{run, run_with_checks, CostModel, Counters, RunConfig, VmError};
-use std::collections::HashSet;
+use fdi_vm::{run, run_observed, CostModel, Counters, RunConfig, VmError};
 
 /// `(case, message, [mutator, words_allocated, calls, prims, closures_made,
 /// pairs_made, steps, checks])`.
@@ -132,7 +132,7 @@ fn fields(c: &Counters) -> [u64; 8] {
 /// Tag checks charged one unit each, with every primitive's first argument
 /// proven safe.
 fn run_checked(program: &Program) -> Result<fdi_vm::Outcome, VmError> {
-    let safe: HashSet<(Label, usize)> = (0..program.expr_count() as u32)
+    let safe = (0..program.expr_count() as u32)
         .map(Label)
         .filter(|&l| matches!(program.expr(l), ExprKind::Prim(_, args) if !args.is_empty()))
         .map(|l| (l, 0))
@@ -144,7 +144,11 @@ fn run_checked(program: &Program) -> Result<fdi_vm::Outcome, VmError> {
         },
         ..RunConfig::default()
     };
-    run_with_checks(program, &config, Some(&safe))
+    let mut elim = CheckElim {
+        safe,
+        ..CheckElim::default()
+    };
+    run_observed(program, &config, &mut elim)
 }
 
 fn capped(program: &Program, fuel: u64) -> Result<fdi_vm::Outcome, VmError> {

@@ -36,12 +36,13 @@ fn main() {
     };
 
     let measure = |program: &fdi_core::Program, eliminate: bool| {
-        let safe = eliminate.then(|| {
+        let mut elim = if eliminate {
             let flow = fdi_cfa::analyze(program, fdi_core::Polyvariance::PolymorphicSplitting);
             fdi_checks::eliminate_checks(program, &flow)
-        });
-        let r =
-            fdi_vm::run_with_checks(program, &cfg, safe.as_ref().map(|e| &e.safe)).expect("runs");
+        } else {
+            fdi_checks::CheckElim::default()
+        };
+        let r = fdi_vm::run_observed(program, &cfg, &mut elim).expect("runs");
         (r.counters.total(&cfg.model), r.counters.checks, r.value)
     };
 

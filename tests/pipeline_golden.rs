@@ -14,7 +14,7 @@ use fdi_benchsuite::BENCHMARKS;
 use fdi_core::{
     analyze_contained, optimize, run, DecisionReason, InlineGuide, InlineReport, Input,
     PassDisposition, PassTrace, PipelineConfig, PipelineOutput, Program, Request, RunConfig,
-    SpecializationCache,
+    SpecializationCache, Telemetry,
 };
 
 const THRESHOLDS: [usize; 3] = [0, 200, 1000];
@@ -258,7 +258,7 @@ fn every_input_shape_reproduces_the_recorded_table() {
         let spec_cache = SpecializationCache::unbounded();
         for case in cases(&src, b.name) {
             let row = golden.next();
-            let analysis = analyze_contained(&program, &case.config);
+            let analysis = analyze_contained(&program, &case.config, &Telemetry::off());
             let lowered = |analysis| Input::Program {
                 program: &program,
                 analysis,

@@ -15,7 +15,10 @@
 //!   and match the in-process guided reference;
 //! * guided and static runs never share a disk-store entry: a store warmed
 //!   by a static daemon yields zero hits to a guided daemon on the same
-//!   job, and each mode warms its own key.
+//!   job, and each mode warms its own key;
+//! * in process, every benchmark's profile at test scale keeps its
+//!   recorded site count, totals and fingerprint (the fingerprint keys
+//!   caches, so a changed byte in the artifact would split them).
 
 use fdi_telemetry::json::{self, Json};
 use fdi_telemetry::DecisionReason;
@@ -346,4 +349,50 @@ fn guided_and_static_daemons_never_share_a_store_entry() {
     );
     assert!(daemon.engine_stat("store_hits") >= 1.0);
     daemon.shutdown();
+}
+
+/// `(benchmark, sites.len(), total_calls, total_cost, fingerprint())` of
+/// the profile `Profile::collect` takes of each benchmark at test scale.
+type ProfileRow = (&'static str, usize, u64, u64, u64);
+
+#[rustfmt::skip]
+const GOLDEN_PROFILES: &[ProfileRow] = &[
+    ("lattice", 60, 165241, 1935705, 0xa683c201a5ed9790),
+    ("boyer", 90, 95655, 1106087, 0x818bac6e015da41a),
+    ("graphs", 59, 25007, 300316, 0x4790892f9e01e8df),
+    ("matrix", 67, 24675, 302351, 0xee6602f13046990b),
+    ("maze", 42, 15559, 183536, 0xec2e38754c8a7496),
+    ("splay", 97, 192466, 2293120, 0x7c26d6df0887c80a),
+    ("nbody", 20, 4178, 52259, 0x580249dfbb8891a9),
+    ("dynamic", 140, 12244, 148193, 0xe736a5d2bee50f0d),
+];
+
+#[test]
+fn every_benchmark_profile_matches_the_recorded_table() {
+    let got: Vec<ProfileRow> = fdi_benchsuite::BENCHMARKS
+        .iter()
+        .map(|b| {
+            let p = fdi_profile::Profile::collect(
+                &b.scaled(b.test_scale),
+                None,
+                &fdi_vm::RunConfig::default(),
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            (
+                b.name,
+                p.sites.len(),
+                p.total_calls,
+                p.total_cost,
+                p.fingerprint(),
+            )
+        })
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(n, s, c, k, fp)| format!("    ({n:?}, {s}, {c}, {k}, {fp:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        got, GOLDEN_PROFILES,
+        "profiles moved; actual table:\n{table}"
+    );
 }

@@ -9,6 +9,7 @@
 use fdi_core::{
     optimize, run, DecisionReason, DecisionRecord, PipelineConfig, Request, Telemetry, Verdict,
 };
+use fdi_engine::{Engine, EngineConfig, Job};
 use fdi_telemetry::{validate_chrome_trace, MetricsRegistry, RingSink};
 use std::sync::Arc;
 
@@ -231,7 +232,9 @@ fn engine_stats_aggregate_decisions() {
 
 /// A metrics registry reads the CFA's sampled counters as their latest
 /// value: after one analysis of `lattice`, `cfa.steps` and `cfa.contours`
-/// are that analysis's totals, not the sum of every sample on the way.
+/// are that analysis's totals, not the sum of every sample on the way. The
+/// engine's registry sees the analysis it shares between jobs the same way,
+/// with one `cfa.solve` span per analysis it computed.
 #[test]
 fn registry_reads_cfa_samples_as_the_final_value() {
     let bench = fdi_benchsuite::BENCHMARKS
@@ -249,4 +252,23 @@ fn registry_reads_cfa_samples_as_the_final_value() {
     assert!(stats.steps > 1024, "more than one sample was taken");
     assert_eq!(registry.gauge("cfa.steps"), Some(stats.steps as f64));
     assert_eq!(registry.gauge("cfa.contours"), Some(stats.contours as f64));
+
+    let engine = Engine::new(EngineConfig::default());
+    let jobs = [0, 200].map(|t| Job::new(src.as_str(), PipelineConfig::with_threshold(t)));
+    for out in engine.run_batch(jobs) {
+        let flow = &out.expect("job").flow_stats;
+        assert_eq!((flow.steps, flow.contours), (stats.steps, stats.contours));
+    }
+    let metrics = engine.metrics();
+    assert_eq!(metrics.gauge("cfa.steps"), Some(stats.steps as f64));
+    assert_eq!(metrics.gauge("cfa.contours"), Some(stats.contours as f64));
+    let solves = metrics
+        .json()
+        .get("histograms")
+        .and_then(|h| h.get("cfa.solve"))
+        .and_then(|h| h.get("count"))
+        .and_then(|n| n.as_num());
+    let misses = engine.stats().analysis_misses;
+    assert_eq!(misses, 1, "the two jobs share one analysis");
+    assert_eq!(solves, Some(misses as f64));
 }
