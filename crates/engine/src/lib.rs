@@ -122,10 +122,13 @@ pub struct EngineConfig {
     /// root is reported and the store disabled — never a construction
     /// failure.
     pub store: Option<PathBuf>,
-    /// Byte budget shared by the in-memory artifact caches (parses and
-    /// analyses). `None` (the default) leaves them unbounded; `Some(n)`
-    /// turns on byte accounting with least-recently-used eviction once the
-    /// combined footprint exceeds `n` — pressure evictions are counted in
+    /// Byte budget shared by the in-memory caches (parses, analyses, VM
+    /// executions and specializations). `None` (the default) leaves them
+    /// unbounded, which batch runs and the sweep rely on for their
+    /// warm-cache invariants; `fdi serve` passes 64 MiB unless told
+    /// otherwise. `Some(n)` turns on byte accounting with
+    /// least-recently-used eviction once the combined footprint exceeds
+    /// `n` — pressure evictions are counted in
     /// [`EngineStats::cache_evictions_pressure`], and in-flight entries are
     /// exempt (evicting one would strand its waiters).
     pub cache_bytes: Option<usize>,

@@ -21,7 +21,7 @@ use crate::{InlineReport, SpecAttempt};
 use fdi_cfa::{ClosureId, ContourId};
 use fdi_lang::{Label, VarId, VarInfo};
 use fdi_telemetry::DecisionRecord;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
@@ -262,9 +262,13 @@ struct Stored {
 
 struct SpecInner {
     map: HashMap<SpecKey, Vec<Stored>>,
+    /// Every stored entry's `last_used` tick, oldest first, with its key:
+    /// the pressure-eviction order. Ticks are unique (each probe or insert
+    /// takes a fresh one and stamps at most one entry), so the first entry
+    /// is exactly the least-recently-used one.
+    lru: BTreeMap<u64, SpecKey>,
     tick: u64,
     bytes: usize,
-    entries: usize,
 }
 
 /// Aggregate counters of one [`SpecializationCache`].
@@ -305,9 +309,9 @@ impl SpecializationCache {
         SpecializationCache {
             inner: Mutex::new(SpecInner {
                 map: HashMap::new(),
+                lru: BTreeMap::new(),
                 tick: 0,
                 bytes: 0,
-                entries: 0,
             }),
             ledger,
             hits: AtomicU64::new(0),
@@ -329,12 +333,15 @@ impl SpecializationCache {
         threshold: usize,
         deps_hold: impl Fn(&[FootDep]) -> bool,
     ) -> Option<Arc<SpecEntry>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(bucket) = inner.map.get_mut(&key) {
             for stored in bucket.iter_mut() {
                 if stored.entry.valid_at(threshold) && deps_hold(&stored.entry.deps) {
+                    inner.lru.remove(&stored.last_used);
+                    inner.lru.insert(tick, key);
                     stored.last_used = tick;
                     self.hits.fetch_add(1, Relaxed);
                     return Some(stored.entry.clone());
@@ -347,7 +354,8 @@ impl SpecializationCache {
 
     pub(crate) fn insert(&self, key: SpecKey, entry: SpecEntry) {
         let bytes = entry.bytes;
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
         let bucket = inner.map.entry(key).or_default();
@@ -360,15 +368,17 @@ impl SpecializationCache {
                 .min_by_key(|(_, s)| s.last_used)
                 .map(|(i, _)| i)
                 .expect("non-empty bucket");
-            freed += bucket.remove(stalest).entry.bytes;
+            let gone = bucket.remove(stalest);
+            inner.lru.remove(&gone.last_used);
+            freed += gone.entry.bytes;
             evicted += 1;
         }
         bucket.push(Stored {
             entry: Arc::new(entry),
             last_used: tick,
         });
+        inner.lru.insert(tick, key);
         inner.bytes = inner.bytes + bytes - freed;
-        inner.entries = inner.entries + 1 - evicted as usize;
         self.ledger.charge(bytes);
         if freed > 0 {
             self.ledger.release(freed);
@@ -376,26 +386,20 @@ impl SpecializationCache {
         // Shed least-recently-used entries while the shared budget is over
         // its limit; an entry we cannot afford is better dropped than kept
         // at the expense of the engine's other caches.
-        while self.ledger.over_limit() && inner.entries > 0 {
-            let (key, idx) = {
-                let mut stalest: Option<(SpecKey, usize, u64)> = None;
-                for (k, bucket) in &inner.map {
-                    for (i, s) in bucket.iter().enumerate() {
-                        if stalest.is_none_or(|(_, _, t)| s.last_used < t) {
-                            stalest = Some((*k, i, s.last_used));
-                        }
-                    }
-                }
-                let (k, i, _) = stalest.expect("entries > 0");
-                (k, i)
+        while self.ledger.over_limit() {
+            let Some((last_used, key)) = inner.lru.pop_first() else {
+                break;
             };
-            let bucket = inner.map.get_mut(&key).expect("bucket exists");
+            let bucket = inner.map.get_mut(&key).expect("indexed entry has a bucket");
+            let idx = bucket
+                .iter()
+                .position(|s| s.last_used == last_used)
+                .expect("indexed entry is in its bucket");
             let gone = bucket.remove(idx);
             if bucket.is_empty() {
                 inner.map.remove(&key);
             }
             inner.bytes -= gone.entry.bytes;
-            inner.entries -= 1;
             self.ledger.release(gone.entry.bytes);
             evicted += 1;
         }
@@ -407,10 +411,10 @@ impl SpecializationCache {
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();
         let freed = inner.bytes;
-        let dropped = inner.entries;
+        let dropped = inner.lru.len();
         inner.map.clear();
+        inner.lru.clear();
         inner.bytes = 0;
-        inner.entries = 0;
         self.ledger.release(freed);
         self.evictions.fetch_add(dropped as u64, Relaxed);
     }
@@ -423,7 +427,7 @@ impl SpecializationCache {
             misses: self.misses.load(Relaxed),
             evictions: self.evictions.load(Relaxed),
             bytes: inner.bytes as u64,
-            entries: inner.entries as u64,
+            entries: inner.lru.len() as u64,
         }
     }
 }

@@ -5,6 +5,7 @@ use crate::{
 use fdi_cfa::{analyze, FlowAnalysis, Polyvariance};
 use fdi_lang::{parse_and_lower, ExprKind, Program};
 use fdi_telemetry::Telemetry;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// [`inline_program_with`], sequential and without telemetry.
 fn recorded(p: &Program, flow: &FlowAnalysis, cfg: &InlineConfig) -> InlineOutcome {
@@ -637,29 +638,37 @@ fn budgeted_with_cache_runtime_is_identical() {
     assert_eq!(base.decisions, cached.decisions);
 }
 
+/// A byte ledger with a fixed limit, for pressure-eviction tests.
+struct TinyLedger {
+    used: AtomicUsize,
+    limit: usize,
+}
+
+impl TinyLedger {
+    fn boxed(limit: usize) -> Box<TinyLedger> {
+        Box::new(TinyLedger {
+            used: AtomicUsize::new(0),
+            limit,
+        })
+    }
+}
+
+impl crate::CacheLedger for TinyLedger {
+    fn charge(&self, bytes: usize) {
+        self.used.fetch_add(bytes, Relaxed);
+    }
+    fn release(&self, bytes: usize) {
+        self.used.fetch_sub(bytes, Relaxed);
+    }
+    fn over_limit(&self) -> bool {
+        self.used.load(Relaxed) > self.limit
+    }
+}
+
 #[test]
 fn spec_cache_ledger_sheds_under_pressure() {
-    use crate::{CacheLedger, SpecializationCache};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    struct TinyLedger {
-        used: AtomicUsize,
-        limit: usize,
-    }
-    impl CacheLedger for TinyLedger {
-        fn charge(&self, bytes: usize) {
-            self.used.fetch_add(bytes, Ordering::Relaxed);
-        }
-        fn release(&self, bytes: usize) {
-            self.used.fetch_sub(bytes, Ordering::Relaxed);
-        }
-        fn over_limit(&self) -> bool {
-            self.used.load(Ordering::Relaxed) > self.limit
-        }
-    }
-    let cache = SpecializationCache::new(Box::new(TinyLedger {
-        used: AtomicUsize::new(0),
-        limit: 512,
-    }));
+    use crate::SpecializationCache;
+    let cache = SpecializationCache::new(TinyLedger::boxed(512));
     let p = parse_and_lower(CACHE_SRC).unwrap();
     let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
     let cfg = InlineConfig::with_threshold(500);
@@ -673,4 +682,43 @@ fn spec_cache_ledger_sheds_under_pressure() {
     let stats = cache.stats();
     assert!(stats.evictions > 0, "tiny ledger must shed: {stats:?}");
     assert!(stats.bytes <= 4096, "{stats:?}");
+}
+
+/// Pressure eviction sheds exactly the least-recently-used entry, so hits,
+/// misses and evictions of a budgeted sweep are a fixed function of the
+/// probe sequence. The figures were recorded with the original full-scan
+/// eviction; an LRU index must reproduce them.
+#[test]
+fn spec_cache_pressure_eviction_order_is_pinned() {
+    use crate::{SpecCacheStats, SpecializationCache};
+    let p = parse_and_lower(CACHE_SRC).unwrap();
+    let flow = analyze(&p, Polyvariance::PolymorphicSplitting);
+    let cache = SpecializationCache::new(TinyLedger::boxed(64000));
+    for round in 0..2 {
+        for salt in 1..=4u64 {
+            for &t in &[0usize, 50, 100, 200, 500, 1000] {
+                let cfg = InlineConfig::with_threshold(t);
+                let rt = InlineRuntime {
+                    cache: Some((&cache, salt)),
+                    units: 1,
+                };
+                let out = inline_program_with(&p, &flow, &cfg, rt, &Telemetry::off());
+                assert_eq!(
+                    outcome_fingerprint(&recorded(&p, &flow, &cfg)),
+                    outcome_fingerprint(&out),
+                    "round {round}, salt {salt}, threshold {t}"
+                );
+            }
+        }
+    }
+    assert_eq!(
+        cache.stats(),
+        SpecCacheStats {
+            hits: 504,
+            misses: 72,
+            evictions: 32,
+            bytes: 63960,
+            entries: 40,
+        }
+    );
 }

@@ -25,6 +25,7 @@
 use crate::json::json_string;
 use crate::{Collector, DecisionTotals, Event};
 use std::collections::VecDeque;
+use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -88,8 +89,36 @@ struct Rings {
     requests: VecDeque<FlightEntry>,
     notable: VecDeque<(String, u64)>,
     decisions: DecisionTotals,
-    /// Append handle plus lines written since the last compaction.
-    writethrough: Option<(PathBuf, u64)>,
+    writethrough: Option<Writethrough>,
+}
+
+/// The write-through journal: its path, an append handle (`None` after a
+/// failed open; the next record retries), and lines written since the
+/// last compaction.
+struct Writethrough {
+    path: PathBuf,
+    file: Option<File>,
+    written: u64,
+}
+
+impl Writethrough {
+    /// Appends `line` (which ends in a newline) in one write.
+    fn append(&mut self, line: &str) {
+        if self.file.is_none() {
+            self.file = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&self.path)
+                .ok();
+        }
+        let Some(file) = &mut self.file else { return };
+        if file.write_all(line.as_bytes()).is_ok() {
+            self.written += 1;
+        } else {
+            // Drop the handle so the next record reopens the path.
+            self.file = None;
+        }
+    }
 }
 
 /// The recorder. Share behind an `Arc`; all methods take `&self`.
@@ -140,8 +169,12 @@ impl FlightRecorder {
             if let Some(dir) = path.parent() {
                 let _ = std::fs::create_dir_all(dir);
             }
-            rings.writethrough = Some((path.to_path_buf(), 0));
-            compact(&mut rings, recorder.capacity);
+            rings.writethrough = Some(Writethrough {
+                path: path.to_path_buf(),
+                file: None,
+                written: 0,
+            });
+            compact(&mut rings);
         }
         recorder
     }
@@ -169,19 +202,12 @@ impl FlightRecorder {
             rings.requests.pop_front();
             self.dropped.fetch_add(1, Relaxed);
         }
-        let line = entry.to_json();
+        let line = entry.to_json() + "\n";
         rings.requests.push_back(entry);
-        if let Some((path, written)) = &mut rings.writethrough {
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&*path)
-                .and_then(|mut f| writeln!(f, "{line}"));
-            if appended.is_ok() {
-                *written += 1;
-            }
-            if *written > 4 * self.capacity as u64 {
-                compact(&mut rings, self.capacity);
+        if let Some(journal) = &mut rings.writethrough {
+            journal.append(&line);
+            if journal.written > 4 * self.capacity as u64 {
+                compact(&mut rings);
             }
         }
     }
@@ -231,16 +257,18 @@ impl FlightRecorder {
 }
 
 /// Rewrites the write-through file to exactly the ring's contents, resetting
-/// the growth counter. Failures are absorbed.
-fn compact(rings: &mut Rings, _capacity: usize) {
-    if let Some((path, written)) = &mut rings.writethrough {
+/// the growth counter; the next record reopens the append handle on the
+/// rewritten file. Failures are absorbed.
+fn compact(rings: &mut Rings) {
+    if let Some(journal) = &mut rings.writethrough {
         let body: String = rings
             .requests
             .iter()
             .map(|e| format!("{}\n", e.to_json()))
             .collect();
-        let _ = std::fs::write(&*path, body);
-        *written = 0;
+        journal.file = None;
+        let _ = std::fs::write(&journal.path, body);
+        journal.written = 0;
     }
 }
 
@@ -345,6 +373,32 @@ mod tests {
         }
         let torn = FlightRecorder::with_writethrough(4, &path);
         assert_eq!(torn.occupancy().0, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn writethrough_reseeds_the_last_capacity_entries_in_order() {
+        let dir = std::env::temp_dir().join(format!("fdi-flight-reseed-{}", std::process::id()));
+        let path = dir.join("requests.jsonl");
+        let _ = std::fs::remove_dir_all(&dir);
+        let ids: Vec<String> = (0..19).map(|i| format!("{i:04x}")).collect();
+        {
+            // The 17th record passes 4 × 4 appended lines and compacts the
+            // file; the last two are appended through a reopened handle.
+            let rec = FlightRecorder::with_writethrough(4, &path);
+            for id in &ids {
+                rec.record_request(entry(id, "ok"));
+            }
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.ends_with('\n'), "every line is whole");
+        let revived = FlightRecorder::with_writethrough(4, &path);
+        let got: Vec<String> = revived
+            .requests()
+            .iter()
+            .map(|e| e.trace_id.clone())
+            .collect();
+        assert_eq!(got, ids[ids.len() - 4..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

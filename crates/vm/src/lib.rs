@@ -4,7 +4,7 @@
 //! R4400, reporting execution time split into mutator and collector time
 //! (Fig. 6). That substrate is not available, so this crate provides a
 //! deterministic stand-in: a CEK-style machine over resolved code
-//! ([`resolve`]) that charges unit costs per operation (procedure-call
+//! (`resolve`) that charges unit costs per operation (procedure-call
 //! overhead, primitive, binding, branch) and words per allocation, with
 //! collector time proportional to allocation volume ([`CostModel`]).
 //!
@@ -39,8 +39,6 @@ mod value;
 
 pub use cost::{CostModel, Counters};
 pub use machine::{run, run_observed, Observer, Outcome, RunConfig, VmError};
-pub use resolve::{resolve, Code, LambdaCode, Resolved, VarRef};
-pub use value::{ClosId, PairId, StrId, Value, VecId};
 
 #[cfg(test)]
 mod more_tests;

@@ -71,8 +71,6 @@ pub struct LambdaCode {
     /// How to fill each capture slot at creation time, in free-variable
     /// order.
     pub capture_plan: Vec<VarRef>,
-    /// Source label (diagnostics).
-    pub label: Label,
 }
 
 /// A whole resolved program.
@@ -255,7 +253,6 @@ fn walk(program: &Program, fv: &FreeVars, label: Label, scope: &mut Scope, res: 
                 rest: lam.rest.is_some(),
                 body: lam.body,
                 capture_plan,
-                label,
             })
         }
         ExprKind::ClRef(e, n) => {

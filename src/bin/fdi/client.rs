@@ -240,10 +240,10 @@ fn try_once(port: u16, request: &str) -> Attempt {
             )
         }
     };
-    if writeln!(stream, "{request}")
-        .and_then(|()| stream.flush())
-        .is_err()
-    {
+    // One write of the whole line with Nagle off, as the daemon replies: a
+    // separate newline segment would wait on the daemon's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    if stream.write_all(format!("{request}\n").as_bytes()).is_err() {
         return Attempt::Transient(DEFAULT_HINT_MS, "connection lost while sending".to_string());
     }
     let mut response = String::new();

@@ -96,7 +96,8 @@
 //! gate.
 //!
 //! Resource governance: `--cache-bytes N` (on `batch` and `serve`) bounds
-//! the in-memory artifact caches with byte-accounted LRU eviction, and
+//! the in-memory artifact caches with byte-accounted LRU eviction (`serve`
+//! defaults to 64 MiB, `batch` to unbounded), and
 //! `--store-bytes N` (on `serve`) puts the disk store under a quota enforced
 //! by LRU garbage collection. `fdi fsck <STORE> [--repair]` is the offline
 //! integrity checker for a store: it verifies every artifact frame and, with

@@ -71,6 +71,10 @@
 //! after [`fdi_engine`]'s degradation threshold the daemon answers
 //! memory-only and re-probes the disk periodically (visible in `health`).
 //!
+//! Every line leaves in one write, and both ends set `TCP_NODELAY`: a
+//! reply split into text and newline segments would wait on the peer's
+//! delayed ACK (~40 ms) before its newline went out.
+//!
 //! Successful job responses include the optimized program text, so a warm
 //! re-serve can be checked byte-for-byte against a cold run. `"cached":true`
 //! marks answers served from the disk store without recomputation.
@@ -108,6 +112,11 @@ pub const PROTO_VERSION: u64 = 1;
 /// Requests the flight recorder remembers.
 const FLIGHT_CAPACITY: usize = 64;
 
+/// In-memory cache budget when `--cache-bytes` is not given. A daemon
+/// meets new sources for as long as it runs, so unlike a batch run it is
+/// never unbounded by default.
+const DEFAULT_CACHE_BYTES: usize = 64 << 20;
+
 /// Shared daemon state, one per process.
 struct Server {
     /// The engine; its metrics registry is the daemon's too.
@@ -137,7 +146,7 @@ struct Server {
 enum Reply {
     /// Write the line and keep reading.
     Line(String),
-    /// Write the line, flush, and exit the process (graceful drain done).
+    /// Write the line and exit the process (graceful drain done).
     Shutdown(String),
 }
 
@@ -164,6 +173,9 @@ fn reply<const N: usize>(op: &str, trace: &str, fields: [(&str, Json); N]) -> St
 /// [--max-inflight N] [--deadline-ms N] [--read-deadline-ms N]
 /// [--cache-bytes N] [--store-bytes N] [--profile FILE]
 /// [--engine-faults SEED]`.
+///
+/// `--cache-bytes` defaults to [`DEFAULT_CACHE_BYTES`] (64 MiB); the disk
+/// store is unbounded unless `--store-bytes` is given.
 pub fn main(args: Vec<String>) -> ExitCode {
     let mut port: u16 = 0;
     let mut port_file: Option<String> = None;
@@ -173,7 +185,7 @@ pub fn main(args: Vec<String>) -> ExitCode {
     let mut max_inflight: usize = 64;
     let mut deadline = Duration::from_millis(30_000);
     let mut read_deadline = Duration::from_millis(10_000);
-    let mut cache_bytes: Option<usize> = None;
+    let mut cache_bytes = DEFAULT_CACHE_BYTES;
     let mut store_bytes: Option<u64> = None;
     let mut engine_faults = FaultPlan::default();
     let mut i = 0;
@@ -213,7 +225,7 @@ pub fn main(args: Vec<String>) -> ExitCode {
                 None => return usage(),
             },
             "--cache-bytes" => match value(i).and_then(|s| s.parse().ok()) {
-                Some(n) => cache_bytes = Some(n),
+                Some(n) => cache_bytes = n,
                 None => return usage(),
             },
             "--store-bytes" => match value(i).and_then(|s| s.parse().ok()) {
@@ -273,7 +285,7 @@ pub fn main(args: Vec<String>) -> ExitCode {
             faults: engine_faults,
             store: store.clone(),
             profile,
-            cache_bytes,
+            cache_bytes: Some(cache_bytes),
             store_bytes,
             ..match jobs {
                 Some(n) => EngineConfig::with_workers(n),
@@ -332,6 +344,9 @@ fn handle_connection(server: &Arc<Server>, stream: TcpStream, read_deadline: Dur
     if !read_deadline.is_zero() {
         let _ = stream.set_read_timeout(Some(read_deadline));
     }
+    // Each reply leaves as one write of text plus newline; Nagle would
+    // only hold it back waiting for the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(reader) = stream.try_clone() else {
         return;
     };
@@ -341,15 +356,12 @@ fn handle_connection(server: &Arc<Server>, stream: TcpStream, read_deadline: Dur
         if line.trim().is_empty() {
             continue;
         }
-        let reply = handle_request(server, &line);
-        let (text, shutdown) = match &reply {
+        let (mut text, shutdown) = match handle_request(server, &line) {
             Reply::Line(t) => (t, false),
             Reply::Shutdown(t) => (t, true),
         };
-        if writeln!(writer, "{text}")
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        text.push('\n');
+        if writer.write_all(text.as_bytes()).is_err() {
             break;
         }
         if shutdown {

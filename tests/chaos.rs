@@ -461,8 +461,10 @@ impl ChaosDaemon {
         use std::io::{BufRead, BufReader, Write};
         let mut stream =
             std::net::TcpStream::connect(("127.0.0.1", self.port)).expect("connect to daemon");
-        writeln!(stream, "{line}").expect("send request");
-        stream.flush().expect("flush request");
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send request");
         let mut response = String::new();
         BufReader::new(stream)
             .read_line(&mut response)

@@ -24,6 +24,8 @@
 //!   per-connection read deadline without hurting other clients;
 //! * `health` reports admission load, byte footprints, degradation (with a
 //!   typed reason), telemetry overhead, and flight-recorder occupancy;
+//! * round trips on one connection never stall on delayed ACK, and the
+//!   daemon's in-memory caches are bounded (64 MiB) by default;
 //! * `fdi fsck` detects a flipped byte on disk, `--repair` evicts it, and
 //!   the restarted daemon re-serves the job byte-identically;
 //! * `{"op":"metrics"}` exposes live windowed counters, engine gauges, and
@@ -93,8 +95,12 @@ impl Daemon {
         Daemon { child, port }
     }
 
+    /// A connection set up like a real client's: `TCP_NODELAY`, so each
+    /// one-write request line leaves at once.
     fn connect(&self) -> TcpStream {
-        TcpStream::connect(("127.0.0.1", self.port)).expect("connect to daemon")
+        let stream = TcpStream::connect(("127.0.0.1", self.port)).expect("connect to daemon");
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
+        stream
     }
 
     /// One request, one response, on a fresh connection.
@@ -123,10 +129,12 @@ impl Drop for Daemon {
     }
 }
 
-/// Writes one request line on `stream` and reads one response line.
+/// Writes one request line on `stream` (in one write) and reads one
+/// response line.
 fn send(stream: &mut TcpStream, line: &str) -> Json {
-    writeln!(stream, "{line}").expect("send request");
-    stream.flush().expect("flush request");
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send request");
     let mut response = String::new();
     BufReader::new(stream.try_clone().expect("clone stream"))
         .read_line(&mut response)
@@ -443,6 +451,48 @@ fn health_reports_footprints_limits_and_degradation() {
     assert_eq!(num_field(flight, "len"), 1.0, "{health:?}");
     assert_eq!(num_field(flight, "capacity"), 64.0);
     let _ = std::fs::remove_dir_all(&store);
+}
+
+/// Every reply leaves in one write with `TCP_NODELAY` set, so a persistent
+/// connection's round trips never wait on the peer's delayed ACK. A reply
+/// sent as text plus a separate newline segment stalls ~40 ms each, so 100
+/// round trips would take seconds instead of milliseconds.
+#[test]
+fn round_trips_on_one_connection_do_not_stall() {
+    let daemon = Daemon::spawn(None, &["--jobs", "1"]);
+    let mut stream = daemon.connect();
+    assert!(is_ok(&send(&mut stream, "{\"op\":\"ping\"}")), "warm-up");
+    let start = Instant::now();
+    for op in ["ping", "stats"] {
+        for _ in 0..50 {
+            let reply = send(&mut stream, &format!("{{\"op\":\"{op}\"}}"));
+            assert!(is_ok(&reply), "{reply:?}");
+        }
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "100 round trips took {elapsed:?}: replies are stalling"
+    );
+}
+
+/// A daemon started without `--cache-bytes` still bounds its in-memory
+/// caches: it meets new sources for as long as it runs.
+#[test]
+fn daemon_cache_is_bounded_by_default() {
+    let daemon = Daemon::spawn(None, &["--jobs", "2"]);
+    for b in fdi_benchsuite::BENCHMARKS.iter().take(6) {
+        let reply = daemon.request(&job_request(&bench_spec(b), None));
+        assert!(is_ok(&reply), "{}: {reply:?}", b.name);
+    }
+    let health = daemon.request("{\"op\":\"health\"}");
+    assert!(is_ok(&health), "{health:?}");
+    let limit = num_field(&health, "cache_bytes_limit");
+    assert_eq!(limit, 67108864.0, "64 MiB default: {health:?}");
+    assert!(
+        num_field(&health, "cache_bytes_used") <= limit,
+        "{health:?}"
+    );
 }
 
 #[test]
