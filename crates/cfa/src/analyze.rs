@@ -2,8 +2,8 @@
 //!
 //! `walk` translates each expression form into graph structure (values,
 //! edges, listeners); the solver loop then propagates abstract values to a
-//! fixpoint, growing the graph as closures reach call sites and conditionals
-//! activate their branches. Polymorphic splitting is implemented by the
+//! fixpoint, moving only each popped node's new values and growing the graph
+//! as closures reach call sites and conditionals activate their branches. Polymorphic splitting is implemented by the
 //! `SplitLet`/`SplitRec` edge transfers plus lazy body instantiation per
 //! (λ, environment, contour) triple.
 
@@ -214,7 +214,7 @@ impl<'p> Analyzer<'p> {
     /// Attaches a listener and processes the node's current values.
     fn attach(&mut self, node: NodeId, listener: Listener) {
         let lid = self.graph.add_listener(node, listener);
-        self.process_listener(lid, node);
+        self.process_listener(lid);
     }
 
     fn apply_transfer(&mut self, t: Transfer, vals: &ValSet) -> ValSet {
@@ -497,19 +497,14 @@ impl<'p> Analyzer<'p> {
 
     // --- listener processing ------------------------------------------------
 
-    fn process_listener(&mut self, lid: ListenerId, node: NodeId) {
+    /// Fires a listener on the values that reached its node since it last
+    /// fired — the full set when it is attached — in sorted order, so each
+    /// value fires each listener exactly once. Values that handlers add to
+    /// the node meanwhile wait for its next pop.
+    fn process_listener(&mut self, lid: ListenerId) {
         let listener = self.graph.listener(lid);
-        // Handlers may grow `node`'s own set, so snapshot to a flat Vec and
-        // drop the Arc handle first — holding it across a handler would turn
-        // every insert into the node into a copy-on-write of the whole set.
-        // The loop sees the set as of entry; the node is re-queued and
-        // re-processed for anything added meanwhile.
-        let vals: Vec<AbsVal> = self.graph.vals_handle(node).iter().collect();
         let mut prim_dirty = false;
-        for v in vals {
-            if !self.graph.listener_first_time(lid, v) {
-                continue;
-            }
+        for v in self.graph.take_unseen(lid).iter() {
             match listener {
                 Listener::Call { call, kappa } => self.handle_call(call, kappa, v),
                 Listener::Apply { call, kappa } => self.handle_apply(call, kappa, v),
@@ -778,17 +773,21 @@ impl<'p> Analyzer<'p> {
                     }
                 }
             }
-            let vals = self.graph.vals_handle(n);
+            // Semi-naive step: every successor already holds the transfer of
+            // the values `n` had at its previous pop (or all of them, if the
+            // edge is newer), and transfers are element-wise, so sending only
+            // the delta grows each successor exactly as the full set would.
+            let delta = self.graph.take_delta(n);
             let mut i = 0;
             while i < self.graph.succ_count(n) {
                 let (dst, t) = self.graph.succ(n, i);
-                self.propagate(dst, t, &vals);
+                self.propagate(dst, t, &delta);
                 i += 1;
             }
             let mut j = 0;
             while j < self.graph.listener_count(n) {
                 let lid = self.graph.listener_at(n, j);
-                self.process_listener(lid, n);
+                self.process_listener(lid);
                 j += 1;
             }
         }

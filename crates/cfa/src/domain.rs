@@ -13,7 +13,7 @@
 //! `Copy` and sets of them stay cheap to compare and hash.
 
 use fdi_lang::{Label, Sym, VarId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// An interned contour (a finite string of labels).
@@ -293,10 +293,12 @@ impl AbsVal {
     }
 }
 
-/// A monotone set of abstract values.
+/// A monotone set of abstract values, kept as a sorted, duplicate-free
+/// vector: flow sets are small, so binary search and linear merges beat a
+/// tree's per-node allocations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ValSet {
-    vals: BTreeSet<AbsVal>,
+    vals: Vec<AbsVal>,
 }
 
 impl ValSet {
@@ -307,26 +309,67 @@ impl ValSet {
 
     /// A singleton set.
     pub fn singleton(v: AbsVal) -> ValSet {
-        let mut s = ValSet::new();
-        s.insert(v);
-        s
+        ValSet { vals: vec![v] }
     }
 
     /// Inserts a value; true if the set grew.
     pub fn insert(&mut self, v: AbsVal) -> bool {
-        self.vals.insert(v)
+        match self.vals.binary_search(&v) {
+            Ok(_) => false,
+            Err(i) => {
+                self.vals.insert(i, v);
+                true
+            }
+        }
     }
 
     /// Unions in `other`; true if the set grew.
     pub fn union_with(&mut self, other: &ValSet) -> bool {
-        let before = self.vals.len();
-        self.vals.extend(other.vals.iter().copied());
-        self.vals.len() > before
+        let mut new = Vec::new();
+        self.missing(other, &mut new);
+        if new.is_empty() {
+            return false;
+        }
+        self.merge_disjoint(&new);
+        true
+    }
+
+    /// Appends the values of `other` that are not in `self` to `out`, in
+    /// sorted order. Each search starts past the previous hit, so a small
+    /// delta into a large set costs O(|other| log |self|).
+    pub(crate) fn missing(&self, other: &ValSet, out: &mut Vec<AbsVal>) {
+        let mut lo = 0;
+        for &v in &other.vals {
+            match self.vals[lo..].binary_search(&v) {
+                Ok(i) => lo += i + 1,
+                Err(i) => {
+                    lo += i;
+                    out.push(v);
+                }
+            }
+        }
+    }
+
+    /// Merges in `new`: sorted values none of which is in the set yet. The
+    /// merge runs in place from the back, so appending costs O(|new|).
+    pub(crate) fn merge_disjoint(&mut self, new: &[AbsVal]) {
+        let Some(&first) = new.first() else { return };
+        let (mut i, mut j) = (self.vals.len(), new.len());
+        self.vals.resize(i + j, first);
+        while j > 0 {
+            if i > 0 && self.vals[i - 1] > new[j - 1] {
+                self.vals[i + j - 1] = self.vals[i - 1];
+                i -= 1;
+            } else {
+                self.vals[i + j - 1] = new[j - 1];
+                j -= 1;
+            }
+        }
     }
 
     /// Membership test.
     pub fn contains(&self, v: AbsVal) -> bool {
-        self.vals.contains(&v)
+        self.vals.binary_search(&v).is_ok()
     }
 
     /// True when empty.
@@ -351,24 +394,24 @@ impl ValSet {
 
     /// True when `#f` is a member (activates an `if`'s else-branch).
     pub fn may_be_false(&self) -> bool {
-        self.vals.contains(&AbsVal::Const(AbsConst::False))
+        self.contains(AbsVal::Const(AbsConst::False))
     }
 
     /// The sole element, if the set is a singleton.
     pub fn as_singleton(&self) -> Option<AbsVal> {
-        if self.vals.len() == 1 {
-            self.vals.iter().next().copied()
-        } else {
-            None
+        match self.vals[..] {
+            [v] => Some(v),
+            _ => None,
         }
     }
 }
 
 impl FromIterator<AbsVal> for ValSet {
     fn from_iter<T: IntoIterator<Item = AbsVal>>(iter: T) -> ValSet {
-        ValSet {
-            vals: iter.into_iter().collect(),
-        }
+        let mut vals: Vec<AbsVal> = iter.into_iter().collect();
+        vals.sort_unstable();
+        vals.dedup();
+        ValSet { vals }
     }
 }
 
@@ -434,6 +477,44 @@ mod tests {
         assert_eq!(t.intern(c), a);
         assert_eq!(t.get(a), c);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn valset_agrees_with_a_btreeset() {
+        fdi_testutil::check("valset_vs_btreeset", 200, |rng| {
+            // Few distinct values, so inserts and unions often overlap.
+            let val = |rng: &mut fdi_testutil::Rng| match rng.index(3) {
+                0 => AbsVal::Const(AbsConst::Sym(Sym(rng.index(6) as u32))),
+                1 => AbsVal::Clo(ClosureId(rng.index(40) as u32)),
+                _ => AbsVal::Pair(Label(rng.index(8) as u32), ContourId(rng.index(3) as u32)),
+            };
+            let mut set = ValSet::new();
+            let mut reference = std::collections::BTreeSet::new();
+            for _ in 0..30 {
+                if rng.chance(0.5) {
+                    let v = val(rng);
+                    assert_eq!(set.insert(v), reference.insert(v));
+                } else {
+                    let n = if rng.chance(0.5) {
+                        rng.index(3)
+                    } else {
+                        rng.index(60)
+                    };
+                    let other: ValSet = (0..n).map(|_| val(rng)).collect();
+                    let mut missing = Vec::new();
+                    set.missing(&other, &mut missing);
+                    let expected: Vec<AbsVal> =
+                        other.iter().filter(|v| !reference.contains(v)).collect();
+                    assert_eq!(missing, expected);
+                    assert_eq!(set.union_with(&other), !expected.is_empty());
+                    reference.extend(other.iter());
+                }
+                assert!(set.iter().eq(reference.iter().copied()));
+                for v in [val(rng), val(rng)] {
+                    assert_eq!(set.contains(v), reference.contains(&v));
+                }
+            }
+        });
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! splitting substitution `κ[l′/l]`; listeners implement the rules that need
 //! to see which abstract values actually arrive (applications, conditionals,
 //! pair projections, primitive transfer functions).
+//!
+//! Each node logs its values in arrival order. The solver is semi-naive: a
+//! popped node sends only its delta (the values logged since its previous
+//! pop) across its edges, and each listener reads the log from where it
+//! last stopped.
 
 use crate::domain::{AbsVal, ContourId, ValSet};
 use fdi_lang::{Label, PrimOp, VarId};
@@ -159,13 +164,28 @@ pub enum Listener {
 
 #[derive(Debug, Default)]
 struct NodeData {
-    /// The node's value set, behind an `Arc` so the solver can snapshot it
-    /// in O(1) per worklist step ([`FlowGraph::vals_handle`]) instead of
-    /// deep-cloning the `BTreeSet`; mutation goes through `Arc::make_mut`,
-    /// which only copies while a snapshot of *this* node is still alive.
+    /// The node's value set, behind an `Arc` so a new edge or a primitive
+    /// can read it in O(1) ([`FlowGraph::vals_handle`]) while the solver
+    /// mutates other nodes; mutation goes through `Arc::make_mut`, which only
+    /// copies while a handle to *this* node is still alive.
     vals: Arc<ValSet>,
+    /// Every value of `vals`, in arrival order. A suffix of it is what some
+    /// consumer has not seen yet: `log[popped..]` is the node's delta, and
+    /// each listener keeps its own position.
+    log: Vec<AbsVal>,
+    /// `log.len()` when the node was last popped ([`FlowGraph::take_delta`]).
+    popped: usize,
     succs: Vec<(NodeId, Transfer)>,
     listeners: Vec<ListenerId>,
+}
+
+/// A registered listener: its rule, the node it watches, and how much of
+/// that node's log it has processed.
+#[derive(Debug)]
+struct ListenerSlot {
+    listener: Listener,
+    node: NodeId,
+    seen: usize,
 }
 
 /// The mutable flow graph.
@@ -179,9 +199,7 @@ pub struct FlowGraph {
     worklist: VecDeque<NodeId>,
     /// Expression nodes per label, for the `?`-contour union queries.
     expr_index: HashMap<Label, Vec<(ContourId, NodeId)>>,
-    listeners: Vec<Listener>,
-    /// Per-listener processed-value memo.
-    listener_seen: Vec<HashSet<AbsVal>>,
+    listeners: Vec<ListenerSlot>,
     edges_added: u64,
 }
 
@@ -212,41 +230,49 @@ impl FlowGraph {
         self.keys.get(&key).copied()
     }
 
-    /// An O(1) snapshot of a node's value set. The solver reads a node's
-    /// values while mutating its successors; taking a handle instead of
-    /// cloning the `BTreeSet` is what makes each worklist step O(out-degree)
-    /// rather than O(|set| log |set| + out-degree).
+    /// An O(1) snapshot of a node's full value set, for the consumers that
+    /// must see all of it once: a new edge and a primitive's recomputation.
     pub fn vals_handle(&self, n: NodeId) -> Arc<ValSet> {
         Arc::clone(&self.nodes[n.0 as usize].vals)
     }
 
     /// Adds one value; enqueues the node when it grows.
     pub fn add_val(&mut self, n: NodeId, v: AbsVal) -> bool {
-        let vals = &mut self.nodes[n.0 as usize].vals;
+        let node = &mut self.nodes[n.0 as usize];
         // Membership pre-check: don't force a copy-on-write of a shared set
         // just to discover the insert would be a no-op.
-        if vals.contains(v) {
+        if node.vals.contains(v) {
             return false;
         }
-        Arc::make_mut(vals).insert(v);
+        Arc::make_mut(&mut node.vals).insert(v);
+        node.log.push(v);
         self.mark_dirty(n);
         true
     }
 
-    /// Unions a set into a node; enqueues the node when it grows.
+    /// Unions a set into a node, logging only the values that are new there;
+    /// enqueues the node when it grows.
     pub fn union_into(&mut self, n: NodeId, vals: &ValSet) -> bool {
-        let dst = &mut self.nodes[n.0 as usize].vals;
-        // A self-edge propagates a node's snapshot into itself: `vals` aliases
-        // `dst`'s allocation and the union is a no-op. The pointer check also
-        // keeps `make_mut` below from deep-cloning the shared set.
-        if std::ptr::eq(Arc::as_ptr(dst), vals as *const ValSet) {
+        let node = &mut self.nodes[n.0 as usize];
+        // Find the new values before `make_mut`, so a union that adds nothing
+        // (a self-edge's snapshot, say) never copies a shared set.
+        let before = node.log.len();
+        node.vals.missing(vals, &mut node.log);
+        if node.log.len() == before {
             return false;
         }
-        if Arc::make_mut(dst).union_with(vals) {
-            self.mark_dirty(n);
-            return true;
-        }
-        false
+        Arc::make_mut(&mut node.vals).merge_disjoint(&node.log[before..]);
+        self.mark_dirty(n);
+        true
+    }
+
+    /// The node's delta — the values added since it was last popped, in
+    /// sorted order — which it then forgets. The full set is unchanged.
+    pub fn take_delta(&mut self, n: NodeId) -> ValSet {
+        let node = &mut self.nodes[n.0 as usize];
+        let delta = node.log[node.popped..].iter().copied().collect();
+        node.popped = node.log.len();
+        delta
     }
 
     fn mark_dirty(&mut self, n: NodeId) {
@@ -267,24 +293,33 @@ impl FlowGraph {
         }
     }
 
-    /// Registers a listener and returns its id. The caller must process the
-    /// node's current values against it once.
+    /// Registers a listener and returns its id. The caller must then process
+    /// the node's values against it once ([`FlowGraph::take_unseen`]).
     pub fn add_listener(&mut self, node: NodeId, listener: Listener) -> ListenerId {
         let id = ListenerId(self.listeners.len() as u32);
-        self.listeners.push(listener);
-        self.listener_seen.push(HashSet::new());
+        self.listeners.push(ListenerSlot {
+            listener,
+            node,
+            seen: 0,
+        });
         self.nodes[node.0 as usize].listeners.push(id);
         id
     }
 
     /// The listener payload.
     pub fn listener(&self, id: ListenerId) -> Listener {
-        self.listeners[id.0 as usize].clone()
+        self.listeners[id.0 as usize].listener.clone()
     }
 
-    /// Marks a value as processed by a listener; true the first time.
-    pub fn listener_first_time(&mut self, id: ListenerId, v: AbsVal) -> bool {
-        self.listener_seen[id.0 as usize].insert(v)
+    /// The values of the listener's node that it has not processed yet, in
+    /// sorted order; from now on they count as processed. A new listener
+    /// gets the node's full set.
+    pub fn take_unseen(&mut self, id: ListenerId) -> ValSet {
+        let slot = &mut self.listeners[id.0 as usize];
+        let log = &self.nodes[slot.node.0 as usize].log;
+        let unseen = log[slot.seen..].iter().copied().collect();
+        slot.seen = log.len();
+        unseen
     }
 
     /// All `(contour, node)` pairs recorded for expression label `l`.
@@ -411,11 +446,65 @@ mod tests {
     }
 
     #[test]
-    fn listener_memo() {
+    fn delta_holds_exactly_the_new_values() {
+        const T: AbsVal = AbsVal::Const(AbsConst::True);
+        const F: AbsVal = AbsVal::Const(AbsConst::False);
+        const NIL: AbsVal = AbsVal::Const(AbsConst::Nil);
         let mut g = FlowGraph::new();
         let a = g.node(NodeKey::ExprAt(Label(1), ContourId::EMPTY));
-        let id = g.add_listener(a, Listener::CarRead { dest: a });
-        assert!(g.listener_first_time(id, AbsVal::Const(AbsConst::Nil)));
-        assert!(!g.listener_first_time(id, AbsVal::Const(AbsConst::Nil)));
+        assert!(g.add_val(a, T));
+        assert!(!g.add_val(a, T));
+        let incoming: ValSet = [T, F, NIL].into_iter().collect();
+        assert!(g.union_into(a, &incoming));
+        assert!(!g.union_into(a, &incoming));
+        assert_eq!(g.take_delta(a), incoming);
+        // Only values new since the last take are in the next delta.
+        assert!(g.union_into(a, &[F, AbsVal::Const(AbsConst::Num)].into_iter().collect()));
+        assert_eq!(
+            g.take_delta(a),
+            ValSet::singleton(AbsVal::Const(AbsConst::Num))
+        );
+    }
+
+    #[test]
+    fn self_union_records_nothing() {
+        let mut g = FlowGraph::new();
+        let a = g.node(NodeKey::ExprAt(Label(1), ContourId::EMPTY));
+        g.add_val(a, AbsVal::Const(AbsConst::Nil));
+        assert_eq!(g.pop_dirty(), Some(a));
+        g.take_delta(a);
+        let own = g.vals_handle(a);
+        assert!(!g.union_into(a, &own));
+        assert!(g.take_delta(a).is_empty());
+        assert_eq!(g.pop_dirty(), None);
+    }
+
+    #[test]
+    fn take_delta_empties_the_delta_and_keeps_the_set() {
+        let mut g = FlowGraph::new();
+        let a = g.node(NodeKey::ExprAt(Label(1), ContourId::EMPTY));
+        g.add_val(a, AbsVal::Const(AbsConst::True));
+        g.add_val(a, AbsVal::Const(AbsConst::False));
+        assert_eq!(g.take_delta(a).len(), 2);
+        assert!(g.take_delta(a).is_empty());
+        assert_eq!(g.vals_handle(a).len(), 2);
+    }
+
+    #[test]
+    fn listeners_see_the_full_set_once_then_only_new_values() {
+        const T: AbsVal = AbsVal::Const(AbsConst::True);
+        const F: AbsVal = AbsVal::Const(AbsConst::False);
+        let mut g = FlowGraph::new();
+        let a = g.node(NodeKey::ExprAt(Label(1), ContourId::EMPTY));
+        g.add_val(a, F);
+        let early = g.add_listener(a, Listener::CarRead { dest: a });
+        assert_eq!(g.take_unseen(early), ValSet::singleton(F));
+        g.add_val(a, T);
+        let late = g.add_listener(a, Listener::CarRead { dest: a });
+        // Each listener keeps its own position in the node's log.
+        assert_eq!(g.take_unseen(late), [T, F].into_iter().collect());
+        assert_eq!(g.take_unseen(early), ValSet::singleton(T));
+        assert!(g.take_unseen(early).is_empty());
+        assert!(g.take_unseen(late).is_empty());
     }
 }

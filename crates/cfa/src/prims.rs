@@ -126,7 +126,8 @@ fn unary_pred(args: &[&ValSet], f: impl Fn(AbsVal) -> Option<bool>) -> ValSet {
     out
 }
 
-/// Abstract `eq?`/`eqv?`/`equal?` over all pairs of argument values.
+/// Abstract `eq?`/`eqv?`/`equal?` over pairs of argument values, stopping
+/// as soon as the result holds both booleans (nothing can add to it then).
 ///
 /// Precision rules: two *distinct* abstract kinds are definitely not
 /// equivalent; the same precise symbol (or boolean, or nil) is definitely
@@ -182,6 +183,9 @@ fn binary_identity(args: &[&ValSet], structural: bool) -> ValSet {
             }
             if verdicts.1 {
                 out.insert(AbsVal::Const(False));
+            }
+            if out.len() == 2 {
+                return out;
             }
         }
     }
