@@ -30,9 +30,9 @@
 
 use fdi_core::{optimize, run, PipelineConfig, PipelineOutput, Request, RunConfig};
 use fdi_profile::Profile;
+use fdi_telemetry::json::Json;
 use fdi_telemetry::{DecisionReason, DecisionTotals};
 use fdi_testutil::timed;
-use std::fmt::Write as _;
 
 /// Total specialized size the inliner committed (sum over `Inlined`
 /// decisions) — the quantity the size budget caps.
@@ -72,19 +72,15 @@ fn measure(out: &PipelineOutput, wall_ms: f64, run_config: &RunConfig, name: &st
     }
 }
 
-fn mode_json(m: &ModeRow) -> String {
-    format!(
-        concat!(
-            "{{\"wall_ms\":{:.3},\"mutator\":{},\"calls\":{},\"sites_inlined\":{},",
-            "\"committed_size\":{},\"decisions\":{}}}"
-        ),
-        m.wall_ms,
-        m.mutator,
-        m.calls,
-        m.sites_inlined,
-        m.committed_size,
-        m.totals.to_json()
-    )
+fn mode_json(m: &ModeRow) -> Json {
+    Json::obj([
+        ("wall_ms", Json::from(m.wall_ms)),
+        ("mutator", m.mutator.into()),
+        ("calls", m.calls.into()),
+        ("sites_inlined", m.sites_inlined.into()),
+        ("committed_size", m.committed_size.into()),
+        ("decisions", m.totals.json()),
+    ])
 }
 
 fn main() {
@@ -109,9 +105,9 @@ fn main() {
     let mut wins = 0usize;
     let mut within_budget = true;
     let mut values_agree = true;
+    let scale_name = if test_scale { "test" } else { "default" };
     println!(
-        "bench_snapshot: static vs profile-guided at budget = {frac:.2} x unbudgeted ({} scale)",
-        if test_scale { "test" } else { "default" }
+        "bench_snapshot: static vs profile-guided at budget = {frac:.2} x unbudgeted ({scale_name} scale)"
     );
     for b in fdi_benchsuite::BENCHMARKS {
         let scale = if test_scale {
@@ -171,44 +167,34 @@ fn main() {
             gd.sites_inlined,
             if win { "WIN" } else { "tie/loss" }
         );
-        let mut row = String::new();
-        let _ = write!(
-            row,
-            concat!(
-                "{{\"name\":\"{}\",\"scale\":{},\"budget\":{},",
-                "\"unbudgeted_specialized_size\":{},\"profile_sites\":{},",
-                "\"profile_total_cost\":{},\"static\":{},\"guided\":{},\"guided_win\":{}}}"
-            ),
-            b.name,
-            scale,
-            budget,
-            total_spec,
-            profile.sites.len(),
-            profile.total_cost,
-            mode_json(&st),
-            mode_json(&gd),
-            win
-        );
+        let row = Json::obj([
+            ("name", Json::from(b.name)),
+            ("scale", u64::from(scale).into()),
+            ("budget", budget.into()),
+            ("unbudgeted_specialized_size", total_spec.into()),
+            ("profile_sites", profile.sites.len().into()),
+            ("profile_total_cost", profile.total_cost.into()),
+            ("static", mode_json(&st)),
+            ("guided", mode_json(&gd)),
+            ("guided_win", win.into()),
+        ]);
         rows.push(row);
     }
     let total = fdi_benchsuite::BENCHMARKS.len();
     println!(
         "guided wins: {wins}/{total}; within budget: {within_budget}; values agree: {values_agree}"
     );
-    let snapshot = format!(
-        concat!(
-            "{{\"v\":1,\"scale\":\"{}\",\"budget_frac\":{:.4},\"benchmarks\":[{}],",
-            "\"guided_wins\":{},\"total\":{},",
-            "\"modes_agree_on_size_budget\":{},\"values_agree\":{}}}\n"
-        ),
-        if test_scale { "test" } else { "default" },
-        frac,
-        rows.join(","),
-        wins,
-        total,
-        within_budget,
-        values_agree,
-    );
+    let snapshot = Json::obj([
+        ("v", Json::from(1u64)),
+        ("scale", scale_name.into()),
+        ("budget_frac", frac.into()),
+        ("benchmarks", Json::Arr(rows)),
+        ("guided_wins", wins.into()),
+        ("total", total.into()),
+        ("modes_agree_on_size_budget", within_budget.into()),
+        ("values_agree", values_agree.into()),
+    ]);
+    let snapshot = format!("{snapshot}\n");
     if let Some(path) = out_file {
         if let Some(dir) = std::path::Path::new(&path).parent() {
             let _ = std::fs::create_dir_all(dir);

@@ -28,6 +28,7 @@
 use fdi_bench::THRESHOLDS;
 use fdi_core::{PipelineConfig, RunConfig, SweepRow};
 use fdi_engine::Engine;
+use fdi_telemetry::json::Json;
 use fdi_testutil::timed;
 use std::fmt::Write as _;
 
@@ -131,14 +132,14 @@ fn main() {
     let cold_wall = median(&mut cold_walls);
     let warm_wall = median(&mut warm_walls);
 
+    let scale = if test_scale { "test" } else { "default" };
+    let host = std::thread::available_parallelism().map_or(0, |n| n.get());
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "engine_sweep: {} benchmarks x {} thresholds ({} scale), host parallelism {}, median of {} rep(s)",
+        "engine_sweep: {} benchmarks x {} thresholds ({scale} scale), host parallelism {host}, median of {} rep(s)",
         benches.len(),
         THRESHOLDS.len() + 1,
-        if test_scale { "test" } else { "default" },
-        std::thread::available_parallelism().map_or(0, |n| n.get()),
         reps,
     );
     let mut agree = true;
@@ -225,7 +226,7 @@ fn main() {
         stats.decisions.inlined(),
         stats.decisions.rejected()
     );
-    let _ = writeln!(report, "engine stats (both sweeps)   : {}", stats.to_json());
+    let _ = writeln!(report, "engine stats (both sweeps)   : {}", stats.json());
     print!("{report}");
 
     if let Some(path) = out_file {
@@ -243,37 +244,39 @@ fn main() {
         // One flat object plus the embedded engine-stats object: every
         // headline number from the prose report, machine-readable. Schema
         // version first so downstream diffing can detect shape changes.
-        let snapshot = format!(
-            concat!(
-                "{{\"v\":2,\"benchmarks\":{},\"thresholds\":{},\"scale\":\"{}\",\"jobs\":{},",
-                "\"reps\":{},\"host_parallelism\":{},\"rows_agree\":{},",
-                "\"sequential_ms\":{:.3},\"cold_ms\":{:.3},\"warm_ms\":{:.3},",
-                "\"cold_speedup\":{:.4},\"warm_speedup\":{:.4},",
-                "\"inline_pass_ms\":{:.3},",
-                "\"cold_analysis_misses\":{},\"cold_analysis_hits\":{},",
-                "\"warm_new_analyses\":{},\"warm_new_parses\":{},",
-                "\"decisions\":{},\"stats\":{}}}\n"
+        use std::time::Duration;
+        let wall_ms = |wall: Duration| Json::from(wall.as_secs_f64() * 1e3);
+        let speedup = |wall: Duration| Json::from(seq_wall.as_secs_f64() / wall.as_secs_f64());
+        let inline_ms = stats.pass("inline").unwrap_or_default().ns as f64 / 1e6;
+        let snapshot = Json::obj([
+            ("v", Json::from(2u64)),
+            ("benchmarks", benches.len().into()),
+            ("thresholds", (THRESHOLDS.len() + 1).into()),
+            ("scale", scale.into()),
+            ("jobs", jobs.into()),
+            ("reps", reps.into()),
+            ("host_parallelism", host.into()),
+            ("rows_agree", agree.into()),
+            ("sequential_ms", wall_ms(seq_wall)),
+            ("cold_ms", wall_ms(cold_wall)),
+            ("warm_ms", wall_ms(warm_wall)),
+            ("cold_speedup", speedup(cold_wall)),
+            ("warm_speedup", speedup(warm_wall)),
+            ("inline_pass_ms", inline_ms.into()),
+            ("cold_analysis_misses", cold_stats.analysis_misses.into()),
+            ("cold_analysis_hits", cold_stats.analysis_hits.into()),
+            (
+                "warm_new_analyses",
+                (stats.analysis_misses - cold_stats.analysis_misses).into(),
             ),
-            benches.len(),
-            THRESHOLDS.len() + 1,
-            if test_scale { "test" } else { "default" },
-            jobs,
-            reps,
-            std::thread::available_parallelism().map_or(0, |n| n.get()),
-            agree,
-            seq_wall.as_secs_f64() * 1e3,
-            cold_wall.as_secs_f64() * 1e3,
-            warm_wall.as_secs_f64() * 1e3,
-            seq_wall.as_secs_f64() / cold_wall.as_secs_f64(),
-            seq_wall.as_secs_f64() / warm_wall.as_secs_f64(),
-            stats.pass("inline").unwrap_or_default().ns as f64 / 1e6,
-            cold_stats.analysis_misses,
-            cold_stats.analysis_hits,
-            stats.analysis_misses - cold_stats.analysis_misses,
-            stats.parse_misses - cold_stats.parse_misses,
-            stats.decisions.to_json(),
-            stats.to_json(),
-        );
+            (
+                "warm_new_parses",
+                (stats.parse_misses - cold_stats.parse_misses).into(),
+            ),
+            ("decisions", stats.decisions.json()),
+            ("stats", stats.json()),
+        ]);
+        let snapshot = format!("{snapshot}\n");
         if let Some(dir) = std::path::Path::new(&path).parent() {
             let _ = std::fs::create_dir_all(dir);
         }

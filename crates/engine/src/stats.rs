@@ -321,12 +321,6 @@ impl EngineStats {
         let counts = counts.map(|(key, n)| (key, Json::from(n)));
         Json::obj(counts.into_iter().chain(times).chain(tail))
     }
-
-    /// [`EngineStats::json`], rendered (no trailing newline) — for the
-    /// `fdi batch` CLI and the experiment logs.
-    pub fn to_json(&self) -> String {
-        self.json().to_string()
-    }
 }
 
 #[cfg(test)]
@@ -357,7 +351,7 @@ mod tests {
     #[test]
     fn json_is_wellformed_enough() {
         let s = EngineStats::default();
-        let j = s.to_json();
+        let j = s.json().to_string();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"analysis_misses\":0"));
         assert!(j.contains("\"store_hits\":0,\"store_misses\":0"));

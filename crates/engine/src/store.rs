@@ -61,7 +61,7 @@
 
 use fdi_core::faults::{FaultInjector, FaultPoint};
 use fdi_core::framing::{decode_frame as decode_payload, encode_frame, HEADER};
-use fdi_telemetry::json::{json_string, parse, Json};
+use fdi_telemetry::json::{parse, Json};
 use fdi_telemetry::DecisionTotals;
 use std::collections::HashMap;
 use std::fs;
@@ -99,18 +99,16 @@ impl StoredOutput {
 
     /// The payload codec: one JSON object, stable key order.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"v\":1,\"optimized\":{},\"baseline_size\":{},\"optimized_size\":{},",
-                "\"sites_inlined\":{},\"fuel_used\":{},\"decisions\":{}}}"
-            ),
-            json_string(&self.optimized),
-            self.baseline_size,
-            self.optimized_size,
-            self.sites_inlined,
-            self.fuel_used,
-            self.decisions.to_json(),
-        )
+        Json::obj([
+            ("v", Json::from(1u64)),
+            ("optimized", self.optimized.as_str().into()),
+            ("baseline_size", self.baseline_size.into()),
+            ("optimized_size", self.optimized_size.into()),
+            ("sites_inlined", self.sites_inlined.into()),
+            ("fuel_used", self.fuel_used.into()),
+            ("decisions", self.decisions.json()),
+        ])
+        .to_string()
     }
 
     /// Decodes [`StoredOutput::to_json`]. Any shape mismatch is an error —

@@ -151,33 +151,32 @@ pub struct DecisionRecord {
 }
 
 impl DecisionRecord {
-    /// Renders the record as one JSON object with stable key order.
-    pub fn to_json(&self) -> String {
-        let mut extra = String::new();
+    /// The record as one JSON object with stable key order: site, contour,
+    /// callee, verdict, reason key, then the reason's payload.
+    pub fn json(&self) -> Json {
+        let mut members = vec![
+            ("site", Json::from(self.site_label.as_str())),
+            ("contour", self.contour.as_str().into()),
+            ("callee", self.callee.as_str().into()),
+            ("verdict", self.verdict.to_string().into()),
+            ("reason", self.reason.key().into()),
+        ];
         match self.reason {
             DecisionReason::Inlined { specialized_size } => {
-                extra = format!(",\"specialized_size\":{specialized_size}");
+                members.push(("specialized_size", specialized_size.into()));
             }
             DecisionReason::ThresholdExceeded { size, limit } => {
-                extra = format!(",\"size\":{size},\"limit\":{limit}");
+                members.extend([("size", size.into()), ("limit", limit.into())]);
             }
             DecisionReason::OpenProcedure { free_vars } => {
-                extra = format!(",\"free_vars\":{free_vars}");
+                members.push(("free_vars", free_vars.into()));
             }
             DecisionReason::SizeBudgetExhausted { size, budget } => {
-                extra = format!(",\"size\":{size},\"budget\":{budget}");
+                members.extend([("size", size.into()), ("budget", budget.into())]);
             }
             _ => {}
         }
-        format!(
-            "{{\"site\":{},\"contour\":{},\"callee\":{},\"verdict\":\"{}\",\"reason\":\"{}\"{}}}",
-            crate::json::json_string(&self.site_label),
-            crate::json::json_string(&self.contour),
-            crate::json::json_string(&self.callee),
-            self.verdict,
-            self.reason.key(),
-            extra,
-        )
+        Json::obj(members)
     }
 }
 
@@ -213,7 +212,7 @@ impl DecisionTotals {
     }
 
     /// Adds `n` decisions under a stable reason key — the inverse of
-    /// [`DecisionTotals::to_json`], for consumers that rebuild totals from
+    /// [`DecisionTotals::json`], for consumers that rebuild totals from
     /// a serialized snapshot. Unknown keys are ignored (a snapshot written
     /// by a future reason catalogue still loads).
     pub fn add(&mut self, key: &str, n: u64) {
@@ -260,11 +259,6 @@ impl DecisionTotals {
     /// One JSON object, keys in canonical order.
     pub fn json(&self) -> Json {
         Json::obj(self.iter().map(|(k, n)| (k, n.into())))
-    }
-
-    /// [`DecisionTotals::json`], rendered.
-    pub fn to_json(&self) -> String {
-        self.json().to_string()
     }
 }
 
@@ -325,7 +319,7 @@ mod tests {
         t.merge(&u);
         assert_eq!(t.get("loop_guard"), 2);
         assert_eq!(t.total(), 5);
-        assert!(t.to_json().starts_with("{\"inlined\":2,"));
+        assert!(t.json().to_string().starts_with("{\"inlined\":2,"));
     }
 
     #[test]
@@ -337,7 +331,7 @@ mod tests {
         assert_eq!(t.inlined(), 4);
         assert_eq!(t.rejected(), 2);
         assert_eq!(t.total(), 6);
-        // Round-trip shape: every key in to_json is addable back.
+        // Round-trip shape: every key in json is addable back.
         let mut u = DecisionTotals::default();
         for (key, n) in t.iter() {
             u.add(key, n);
@@ -347,10 +341,14 @@ mod tests {
 
     #[test]
     fn record_json_carries_reason_payload() {
-        let j = rec(DecisionReason::ThresholdExceeded { size: 9, limit: 4 }).to_json();
+        let j = rec(DecisionReason::ThresholdExceeded { size: 9, limit: 4 })
+            .json()
+            .to_string();
         assert!(j.contains("\"reason\":\"threshold_exceeded\""), "{j}");
         assert!(j.contains("\"size\":9,\"limit\":4"), "{j}");
-        let j = rec(DecisionReason::OpenProcedure { free_vars: 2 }).to_json();
+        let j = rec(DecisionReason::OpenProcedure { free_vars: 2 })
+            .json()
+            .to_string();
         assert!(j.contains("\"free_vars\":2"), "{j}");
     }
 }

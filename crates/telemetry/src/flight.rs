@@ -22,7 +22,7 @@
 //! `--trace-out`, no graceful shutdown required. Write-through IO failures
 //! are ignored: the recorder observes the daemon, it never fails it.
 
-use crate::json::json_string;
+use crate::json::Json;
 use crate::{Collector, DecisionTotals, Event};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -63,18 +63,17 @@ pub struct FlightEntry {
 
 impl FlightEntry {
     /// One stable-key JSON object (also the write-through line format).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"trace_id\":{},\"what\":{},\"outcome\":{},\"duration_us\":{},\"ts_us\":{}}}",
-            json_string(&self.trace_id),
-            json_string(&self.what),
-            json_string(&self.outcome),
-            self.duration_us,
-            self.ts_us,
-        )
+    pub fn json(&self) -> Json {
+        Json::obj([
+            ("trace_id", Json::from(self.trace_id.as_str())),
+            ("what", self.what.as_str().into()),
+            ("outcome", self.outcome.as_str().into()),
+            ("duration_us", self.duration_us.into()),
+            ("ts_us", self.ts_us.into()),
+        ])
     }
 
-    fn from_json(doc: &crate::json::Json) -> Option<FlightEntry> {
+    fn from_json(doc: &Json) -> Option<FlightEntry> {
         Some(FlightEntry {
             trace_id: doc.get("trace_id")?.as_str()?.to_string(),
             what: doc.get("what")?.as_str()?.to_string(),
@@ -202,7 +201,7 @@ impl FlightRecorder {
             rings.requests.pop_front();
             self.dropped.fetch_add(1, Relaxed);
         }
-        let line = entry.to_json() + "\n";
+        let line = format!("{}\n", entry.json());
         rings.requests.push_back(entry);
         if let Some(journal) = &mut rings.writethrough {
             journal.append(&line);
@@ -223,36 +222,35 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// Renders the whole recorder state as one JSON object.
-    pub fn to_json(&self) -> String {
+    /// The whole recorder state as one JSON object.
+    pub fn json(&self) -> Json {
         let rings = self.rings.lock().unwrap();
-        let requests: Vec<String> = rings.requests.iter().map(FlightEntry::to_json).collect();
-        let notable: Vec<String> = rings
-            .notable
-            .iter()
-            .map(|(name, ts_us)| format!("{{\"name\":{},\"ts_us\":{ts_us}}}", json_string(name)))
-            .collect();
-        format!(
-            concat!(
-                "{{\"capacity\":{},\"len\":{},\"dropped\":{},",
-                "\"requests\":[{}],\"notable\":[{}],\"decisions\":{}}}"
+        let notable = rings.notable.iter().map(|(name, ts_us)| {
+            Json::obj([
+                ("name", Json::from(name.as_str())),
+                ("ts_us", (*ts_us).into()),
+            ])
+        });
+        Json::obj([
+            ("capacity", self.capacity.into()),
+            ("len", rings.requests.len().into()),
+            ("dropped", self.dropped().into()),
+            (
+                "requests",
+                Json::Arr(rings.requests.iter().map(FlightEntry::json).collect()),
             ),
-            self.capacity,
-            rings.requests.len(),
-            self.dropped(),
-            requests.join(","),
-            notable.join(","),
-            rings.decisions.to_json(),
-        )
+            ("notable", Json::Arr(notable.collect())),
+            ("decisions", rings.decisions.json()),
+        ])
     }
 
-    /// Dumps [`FlightRecorder::to_json`] to `path` (for the panic/drain
+    /// Dumps [`FlightRecorder::json`] to `path` (for the panic/drain
     /// auto-dump). IO failure is reported to the caller, never panics.
     pub fn dump_to(&self, path: &Path) -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        std::fs::write(path, self.to_json())
+        std::fs::write(path, self.json().to_string())
     }
 }
 
@@ -264,7 +262,7 @@ fn compact(rings: &mut Rings) {
         let body: String = rings
             .requests
             .iter()
-            .map(|e| format!("{}\n", e.to_json()))
+            .map(|e| format!("{}\n", e.json()))
             .collect();
         journal.file = None;
         let _ = std::fs::write(&journal.path, body);
@@ -314,7 +312,7 @@ mod tests {
         assert_eq!(rec.dropped(), 1);
         let ids: Vec<String> = rec.requests().iter().map(|e| e.trace_id.clone()).collect();
         assert_eq!(ids, ["bbbb", "cccc"]);
-        let doc = crate::json::parse(&rec.to_json()).expect("flight JSON parses");
+        let doc = crate::json::parse(&rec.json().to_string()).expect("flight JSON parses");
         assert_eq!(doc.get("len").and_then(|n| n.as_num()), Some(2.0));
         let reqs = doc.get("requests").and_then(|r| r.as_arr()).unwrap();
         assert_eq!(
@@ -336,7 +334,7 @@ mod tests {
         rec.record(instant("cache.parse")); // routine traffic: filtered out
         rec.record(instant("job.retry"));
         rec.record(instant("store.write_failed"));
-        let doc = crate::json::parse(&rec.to_json()).unwrap();
+        let doc = crate::json::parse(&rec.json().to_string()).unwrap();
         let notable = doc.get("notable").and_then(|n| n.as_arr()).unwrap();
         assert_eq!(notable.len(), 2);
         assert_eq!(

@@ -8,9 +8,10 @@
 //! huge documents.
 //!
 //! The writer is [`Json`]'s `Display`: compact (no whitespace), object keys
-//! in insertion order, strings escaped by [`json_string`]'s rules. Build a
-//! document with [`Json::obj`] and the `From` conversions, then
-//! `to_string()` it.
+//! in insertion order, strings escaped (`"`, `\`, and control characters),
+//! numbers in shortest round-trip form. Every JSON document the workspace
+//! emits is built as a [`Json`] tree with [`Json::obj`] and the `From`
+//! conversions, then printed with `to_string()` or `{}`.
 
 use std::fmt::{self, Write as _};
 
@@ -84,6 +85,12 @@ impl From<u64> for Json {
     }
 }
 
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
 impl From<f64> for Json {
     fn from(n: f64) -> Json {
         Json::Num(n)
@@ -99,6 +106,12 @@ impl From<bool> for Json {
 impl From<&str> for Json {
     fn from(s: &str) -> Json {
         Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
     }
 }
 
@@ -137,28 +150,29 @@ impl fmt::Display for Json {
     }
 }
 
-/// Writes `s` as one JSON string literal, quotes included.
+/// Writes `s` as one JSON string literal, quotes included. Runs that need
+/// no escape go out in one write; every escaped character is ASCII, so the
+/// byte positions cut `s` at character boundaries.
 fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     out.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => out.write_str("\\\"")?,
-            '\\' => out.write_str("\\\\")?,
-            '\n' => out.write_str("\\n")?,
-            '\r' => out.write_str("\\r")?,
-            '\t' => out.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => out.write_char(c)?,
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.write_str(&s[clean..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            b => write!(out, "\\u{b:04x}")?,
+        }
+        clean = i + 1;
     }
+    out.write_str(&s[clean..])?;
     out.write_char('"')
-}
-
-/// Escapes `s` as one JSON string literal, quotes included.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_string(&mut out, s).expect("writing to a String cannot fail");
-    out
 }
 
 const MAX_DEPTH: usize = 128;
@@ -303,6 +317,16 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // at once; those bytes are ASCII, so the run ends on a char
+            // boundary of the (valid UTF-8) input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+                .unwrap_or(rest.len());
+            out.push_str(std::str::from_utf8(&rest[..run]).unwrap());
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -348,17 +372,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(format!("raw control byte 0x{c:02x} in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so boundaries
-                    // are valid; find the next char boundary).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xc0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
+                Some(c) => return Err(format!("raw control byte 0x{c:02x} in string")),
             }
         }
     }
@@ -430,6 +444,8 @@ mod tests {
     fn parses_unicode_escapes() {
         let doc = parse(r#""\u00e9\ud83d\ude00""#).unwrap();
         assert_eq!(doc.as_str(), Some("é😀"));
+        let doc = parse("\"añb😀\\n\\\"(car x)\\\\\u{e9}\"").unwrap();
+        assert_eq!(doc.as_str(), Some("añb😀\n\"(car x)\\é"));
     }
 
     #[test]
@@ -443,6 +459,8 @@ mod tests {
             "\"\\q\"",
             "1 2",
             "{\"a\":}",
+            "\"ab\u{1}c\"",
+            "\"abé",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -466,7 +484,7 @@ mod tests {
         let back = parse(&text).unwrap();
         assert_eq!(back.get("s"), doc.get("s"));
         assert_eq!(back.get("list"), doc.get("list"));
-        assert_eq!(json_string("q\""), "\"q\\\"\"");
+        assert_eq!(Json::from("q\"").to_string(), "\"q\\\"\"");
     }
 
     #[test]

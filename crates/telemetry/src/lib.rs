@@ -143,6 +143,18 @@ impl Event {
             | Event::Decision { ts_us, .. } => *ts_us,
         }
     }
+
+    /// The emitting thread's hash (the trace track).
+    pub fn tid(&self) -> u64 {
+        match self {
+            Event::SpanBegin { tid, .. }
+            | Event::SpanEnd { tid, .. }
+            | Event::Instant { tid, .. }
+            | Event::Counter { tid, .. }
+            | Event::Histogram { tid, .. }
+            | Event::Decision { tid, .. } => *tid,
+        }
+    }
 }
 
 /// A telemetry event consumer. Implementations must be thread-safe: the

@@ -7,106 +7,96 @@
 //! file with [`crate::json`] and checks the structural rules the viewers
 //! rely on (required fields, known phases, balanced begin/end per track).
 
-use crate::json::json_string;
+use crate::json::Json;
 use crate::Event;
 
-fn args_obj(args: &[(String, String)]) -> String {
-    let body: Vec<String> = args
-        .iter()
-        .map(|(k, v)| format!("{}:{}", json_string(k), json_string(v)))
-        .collect();
-    format!("{{{}}}", body.join(","))
+fn args_obj(args: &[(String, String)]) -> Json {
+    Json::obj(args.iter().map(|(k, v)| (k.as_str(), v.as_str().into())))
+}
+
+fn buckets_obj(buckets: &[(String, u64)]) -> Json {
+    Json::obj(
+        buckets
+            .iter()
+            .map(|(label, n)| (label.as_str(), (*n).into())),
+    )
 }
 
 /// Renders one event as a standalone JSON object (the JSON-lines format
 /// written by [`crate::JsonLinesSink`]).
-pub fn event_json(event: &Event) -> String {
-    match event {
-        Event::SpanBegin { id, name, cat, ts_us, tid } => format!(
-            "{{\"type\":\"span_begin\",\"id\":{id},\"name\":{},\"cat\":{},\"ts_us\":{ts_us},\"tid\":{tid}}}",
-            json_string(name),
-            json_string(cat),
+pub fn event_json(event: &Event) -> Json {
+    let str = |s: &str| Json::from(s);
+    let (kind, fields) = match event {
+        Event::SpanBegin { id, name, cat, .. } => (
+            "span_begin",
+            vec![("id", (*id).into()), ("name", str(name)), ("cat", str(cat))],
         ),
-        Event::SpanEnd { id, name, ts_us, tid } => format!(
-            "{{\"type\":\"span_end\",\"id\":{id},\"name\":{},\"ts_us\":{ts_us},\"tid\":{tid}}}",
-            json_string(name),
-        ),
-        Event::Instant { name, cat, args, ts_us, tid } => format!(
-            "{{\"type\":\"instant\",\"name\":{},\"cat\":{},\"args\":{},\"ts_us\":{ts_us},\"tid\":{tid}}}",
-            json_string(name),
-            json_string(cat),
-            args_obj(args),
-        ),
-        Event::Counter { name, value, ts_us, tid } => format!(
-            "{{\"type\":\"counter\",\"name\":{},\"value\":{value},\"ts_us\":{ts_us},\"tid\":{tid}}}",
-            json_string(name),
-        ),
-        Event::Histogram { name, buckets, ts_us, tid } => {
-            let b: Vec<String> = buckets
-                .iter()
-                .map(|(label, n)| format!("{}:{n}", json_string(label)))
-                .collect();
-            format!(
-                "{{\"type\":\"histogram\",\"name\":{},\"buckets\":{{{}}},\"ts_us\":{ts_us},\"tid\":{tid}}}",
-                json_string(name),
-                b.join(","),
-            )
+        Event::SpanEnd { id, name, .. } => {
+            ("span_end", vec![("id", (*id).into()), ("name", str(name))])
         }
-        Event::Decision { record, ts_us, tid } => format!(
-            "{{\"type\":\"decision\",\"record\":{},\"ts_us\":{ts_us},\"tid\":{tid}}}",
-            record.to_json(),
+        Event::Instant {
+            name, cat, args, ..
+        } => (
+            "instant",
+            vec![
+                ("name", str(name)),
+                ("cat", str(cat)),
+                ("args", args_obj(args)),
+            ],
         ),
-    }
+        Event::Counter { name, value, .. } => (
+            "counter",
+            vec![("name", str(name)), ("value", (*value).into())],
+        ),
+        Event::Histogram { name, buckets, .. } => (
+            "histogram",
+            vec![("name", str(name)), ("buckets", buckets_obj(buckets))],
+        ),
+        Event::Decision { record, .. } => ("decision", vec![("record", record.json())]),
+    };
+    let stamp = [("ts_us", event.ts_us().into()), ("tid", event.tid().into())];
+    Json::obj([("type", str(kind))].into_iter().chain(fields).chain(stamp))
 }
 
-fn trace_event(event: &Event) -> String {
-    const PID: u64 = 1;
-    match event {
-        Event::SpanBegin { name, cat, ts_us, tid, .. } => format!(
-            "{{\"name\":{},\"cat\":{},\"ph\":\"B\",\"ts\":{ts_us},\"pid\":{PID},\"tid\":{tid}}}",
-            json_string(name),
-            json_string(cat),
-        ),
-        Event::SpanEnd { name, ts_us, tid, .. } => format!(
-            "{{\"name\":{},\"ph\":\"E\",\"ts\":{ts_us},\"pid\":{PID},\"tid\":{tid}}}",
-            json_string(name),
-        ),
-        Event::Instant { name, cat, args, ts_us, tid } => format!(
-            "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts_us},\"pid\":{PID},\"tid\":{tid},\"args\":{}}}",
-            json_string(name),
-            json_string(cat),
-            args_obj(args),
-        ),
-        Event::Counter { name, value, ts_us, tid } => format!(
-            "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts_us},\"pid\":{PID},\"tid\":{tid},\"args\":{{\"value\":{value}}}}}",
-            json_string(name),
-        ),
-        Event::Histogram { name, buckets, ts_us, tid } => {
-            let series: Vec<String> = buckets
-                .iter()
-                .map(|(label, n)| format!("{}:{n}", json_string(label)))
-                .collect();
-            format!(
-                "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts_us},\"pid\":{PID},\"tid\":{tid},\"args\":{{{}}}}}",
-                json_string(name),
-                series.join(","),
-            )
+fn trace_event(event: &Event) -> Json {
+    let (name, cat, ph, args) = match event {
+        Event::SpanBegin { name, cat, .. } => (name.clone(), Some(*cat), "B", None),
+        Event::SpanEnd { name, .. } => (name.clone(), None, "E", None),
+        Event::Instant {
+            name, cat, args, ..
+        } => (name.clone(), Some(*cat), "i", Some(args_obj(args))),
+        Event::Counter { name, value, .. } => {
+            let args = Json::obj([("value", Json::from(*value))]);
+            (name.clone(), None, "C", Some(args))
         }
-        Event::Decision { record, ts_us, tid } => {
-            let args = [
-                ("site".to_string(), record.site_label.clone()),
-                ("contour".to_string(), record.contour.clone()),
-                ("callee".to_string(), record.callee.clone()),
-                ("verdict".to_string(), record.verdict.to_string()),
-                ("reason".to_string(), record.reason.to_string()),
-            ];
-            format!(
-                "{{\"name\":{},\"cat\":\"decision\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts_us},\"pid\":{PID},\"tid\":{tid},\"args\":{}}}",
-                json_string(&format!("decision:{}", record.reason.key())),
-                args_obj(&args),
-            )
+        Event::Histogram { name, buckets, .. } => {
+            (name.clone(), None, "C", Some(buckets_obj(buckets)))
         }
+        Event::Decision { record, .. } => {
+            let args = Json::obj([
+                ("site", Json::from(record.site_label.as_str())),
+                ("contour", record.contour.as_str().into()),
+                ("callee", record.callee.as_str().into()),
+                ("verdict", record.verdict.to_string().into()),
+                ("reason", record.reason.to_string().into()),
+            ]);
+            let name = format!("decision:{}", record.reason.key());
+            (name, Some("decision"), "i", Some(args))
+        }
+    };
+    let mut members = vec![("name", Json::from(name))];
+    members.extend(cat.map(|cat| ("cat", cat.into())));
+    members.push(("ph", ph.into()));
+    if ph == "i" {
+        members.push(("s", "t".into())); // instants are thread-scoped
     }
+    members.extend([
+        ("ts", event.ts_us().into()),
+        ("pid", 1u64.into()),
+        ("tid", event.tid().into()),
+    ]);
+    members.extend(args.map(|args| ("args", args)));
+    Json::obj(members)
 }
 
 /// Renders an event stream as Trace Event Format JSON (object form), sorted
@@ -116,11 +106,14 @@ pub fn chrome_trace(events: &[Event]) -> String {
     // Stable by-timestamp sort: per-thread order is preserved (each thread's
     // timestamps are non-decreasing), which keeps B/E nesting valid.
     ordered.sort_by_key(|e| e.ts_us());
-    let body: Vec<String> = ordered.iter().map(|e| trace_event(e)).collect();
-    format!(
-        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
-        body.join(",")
-    )
+    Json::obj([
+        (
+            "traceEvents",
+            Json::Arr(ordered.into_iter().map(trace_event).collect()),
+        ),
+        ("displayTimeUnit", "ms".into()),
+    ])
+    .to_string()
 }
 
 /// What [`validate_chrome_trace`] found in a well-formed trace.
@@ -323,7 +316,7 @@ mod tests {
     #[test]
     fn jsonl_event_encoding_parses_back() {
         for ev in sample_events() {
-            let line = event_json(&ev);
+            let line = event_json(&ev).to_string();
             let doc = crate::json::parse(&line).expect("event_json output parses");
             assert!(doc.get("type").is_some(), "{line}");
         }

@@ -1,17 +1,18 @@
 //! `fdi batch` — run a manifest of jobs on the concurrent engine and emit
 //! one JSON report.
 
-use crate::opts::{parse_policy, parse_schedule, usage};
-use crate::report::{health_json, passes_json, write_chrome_trace};
+use crate::opts::{parse_policy, usage};
+use crate::report::{job_result, write_chrome_trace};
 use fdi_core::{FaultPlan, OracleConfig, PipelineConfig, Telemetry};
-use fdi_telemetry::json::json_string;
-use fdi_telemetry::{DecisionTotals, RingSink};
+use fdi_telemetry::json::Json;
+use fdi_telemetry::RingSink;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Applies one manifest line's per-job flags to `config` (also the flag
-/// grammar of serve-mode job requests).
+/// grammar of `fdi batch`'s command-line defaults and of serve-mode job
+/// requests).
 pub fn apply_job_flags(config: &mut PipelineConfig, tokens: &[&str]) -> Result<(), String> {
     let mut i = 0;
     let next = |i: &mut usize, flag: &str| -> Result<String, String> {
@@ -119,100 +120,64 @@ pub fn load_engine_profile(path: &str) -> Result<fdi_engine::EngineProfile, Stri
     })
 }
 
-/// `fdi batch <manifest> [--jobs N] [--out FILE] [--trace-out FILE]
-/// [--passes SCHEDULE] [--profile FILE] [--size-budget N] [--cache-bytes N]
-/// [--validate] [--oracle-fuel N] [--faults SEED] [--engine-faults SEED]`.
+/// `fdi batch <manifest> [job-flags…] [--jobs N] [--out FILE]
+/// [--trace-out FILE] [--profile FILE] [--cache-bytes N]
+/// [--engine-faults SEED]`.
+///
+/// The engine flags may appear anywhere; every other token after the
+/// manifest path is a job flag ([`apply_job_flags`]) and sets the default
+/// config that each manifest line's own flags then override.
 pub fn main(mut args: Vec<String>) -> ExitCode {
     let mut jobs = None;
     let mut out_file = None;
     let mut trace_out = None;
     let mut profile_path: Option<String> = None;
     let mut cache_bytes: Option<usize> = None;
-    let mut default_config = PipelineConfig::default();
     let mut engine_faults = FaultPlan::default();
     let mut i = 0;
     while i < args.len() {
+        let value = args.get(i + 1);
         match args[i].as_str() {
-            "--jobs" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                jobs = Some(n);
-                args.drain(i..=i + 1);
+            "--jobs" => match value.and_then(|s| s.parse().ok()) {
+                Some(n) => jobs = Some(n),
+                None => return usage(),
+            },
+            "--cache-bytes" => match value.and_then(|s| s.parse().ok()) {
+                Some(n) => cache_bytes = Some(n),
+                None => return usage(),
+            },
+            "--out" => match value {
+                Some(f) => out_file = Some(f.clone()),
+                None => return usage(),
+            },
+            "--trace-out" => match value {
+                Some(f) => trace_out = Some(f.clone()),
+                None => return usage(),
+            },
+            "--engine-faults" => match value.and_then(|s| s.parse().ok()) {
+                Some(seed) => engine_faults = FaultPlan::new(seed),
+                None => return usage(),
+            },
+            "--profile" => match value {
+                Some(f) => profile_path = Some(f.clone()),
+                None => return usage(),
+            },
+            _ => {
+                i += 1;
+                continue;
             }
-            "--cache-bytes" => {
-                let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                cache_bytes = Some(n);
-                args.drain(i..=i + 1);
-            }
-            "--out" => {
-                let Some(f) = args.get(i + 1) else {
-                    return usage();
-                };
-                out_file = Some(f.clone());
-                args.drain(i..=i + 1);
-            }
-            "--trace-out" => {
-                let Some(f) = args.get(i + 1) else {
-                    return usage();
-                };
-                trace_out = Some(f.clone());
-                args.drain(i..=i + 1);
-            }
-            "--passes" => {
-                let Some(schedule) = args.get(i + 1).and_then(|s| parse_schedule(s)) else {
-                    return usage();
-                };
-                default_config.schedule = schedule;
-                args.drain(i..=i + 1);
-            }
-            "--validate" => {
-                default_config.oracle = OracleConfig::on();
-                args.remove(i);
-            }
-            "--oracle-fuel" => {
-                let Some(fuel) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                default_config.oracle.fuel = fuel;
-                args.drain(i..=i + 1);
-            }
-            "--faults" => {
-                let Some(seed) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                default_config.faults = FaultPlan::new(seed);
-                args.drain(i..=i + 1);
-            }
-            "--engine-faults" => {
-                let Some(seed) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                engine_faults = FaultPlan::new(seed);
-                args.drain(i..=i + 1);
-            }
-            "--profile" => {
-                let Some(f) = args.get(i + 1) else {
-                    return usage();
-                };
-                profile_path = Some(f.clone());
-                args.drain(i..=i + 1);
-            }
-            "--size-budget" => {
-                let Some(b) = args.get(i + 1).and_then(|s| s.parse().ok()) else {
-                    return usage();
-                };
-                default_config.size_budget = Some(b);
-                args.drain(i..=i + 1);
-            }
-            _ => i += 1,
         }
+        args.drain(i..=i + 1);
     }
-    let Some(manifest_path) = args.first() else {
+    let Some((manifest_path, job_flags)) = args.split_first() else {
         return usage();
     };
+    let mut default_config = PipelineConfig::default();
+    let job_flags: Vec<&str> = job_flags.iter().map(String::as_str).collect();
+    if let Err(e) = apply_job_flags(&mut default_config, &job_flags) {
+        eprintln!("fdi batch: {e}");
+        return usage();
+    }
     let manifest = match std::fs::read_to_string(manifest_path) {
         Ok(m) => m,
         Err(e) => {
@@ -298,83 +263,57 @@ pub fn main(mut args: Vec<String>) -> ExitCode {
         // (source, config) — the join key across batch reports, daemon
         // responses, and flight-recorder entries. Unresolvable sources have
         // no job, hence no id.
-        let trace = line
-            .source
-            .as_deref()
-            .ok()
-            .map(|src| format!("\"{}\"", fdi_core::trace_id_hex(src, &line.config)))
-            .unwrap_or_else(|| "null".to_string());
-        let head = format!(
-            "{{\"spec\":{},\"trace_id\":{},\"threshold\":{}",
-            json_string(&line.spec),
-            trace,
-            line.config.threshold
-        );
-        let entry = match handle.map(|h| h.wait()) {
-            None => {
-                failures += 1;
-                format!(
-                    "{head},\"ok\":false,\"error\":{}}}",
-                    json_string(line.source.as_ref().unwrap_err())
+        let trace = line.source.as_deref().ok().map_or(Json::Null, |src| {
+            fdi_core::trace_id_hex(src, &line.config).into()
+        });
+        let head = [
+            ("spec", Json::from(line.spec.as_str())),
+            ("trace_id", trace),
+            ("threshold", line.config.threshold.into()),
+        ];
+        let result = match handle {
+            None => Err(line.source.clone().unwrap_err()),
+            Some(h) => h.wait().map_err(|e| e.to_string()),
+        };
+        let entry = match result {
+            Ok(out) => {
+                let analysis_ms = out.flow_stats.duration.as_secs_f64() * 1e3;
+                let ok = [("ok", true.into())].into_iter().chain(job_result(&out));
+                Json::obj(
+                    head.into_iter()
+                        .chain(ok)
+                        .chain([("analysis_ms", analysis_ms.into())]),
                 )
             }
-            Some(Err(e)) => {
+            Err(error) => {
                 failures += 1;
-                format!(
-                    "{head},\"ok\":false,\"error\":{}}}",
-                    json_string(&e.to_string())
-                )
+                let failed = [("ok", false.into()), ("error", error.into())];
+                Json::obj(head.into_iter().chain(failed))
             }
-            Some(Ok(out)) => format!(
-                concat!(
-                    "{},\"ok\":true,\"degraded\":{},\"oracle_rejected\":{},",
-                    "\"size_ratio\":{:.6},",
-                    "\"baseline_size\":{},\"optimized_size\":{},\"sites_inlined\":{},",
-                    "\"decisions\":{},",
-                    "\"analysis_ms\":{:.3},\"fuel_used\":{},\"passes\":{},\"health\":{}}}"
-                ),
-                head,
-                out.health.degraded(),
-                out.health.oracle_rejected(),
-                out.size_ratio(),
-                out.baseline_size,
-                out.optimized_size,
-                out.report.sites_inlined,
-                DecisionTotals::tally(&out.decisions).to_json(),
-                out.flow_stats.duration.as_secs_f64() * 1e3,
-                out.fuel_used,
-                passes_json(&out.passes),
-                health_json(&out.health),
-            ),
         };
         entries.push(entry);
     }
     // The poison list: jobs the supervisor quarantined after exhausting
     // their retries. Map each back to its manifest spec by source text.
-    let poisoned: Vec<String> = engine
-        .poisoned()
-        .iter()
-        .map(|p| {
-            let spec = lines
-                .iter()
-                .find(|l| l.source.as_deref().ok() == Some(&*p.source))
-                .map(|l| l.spec.as_str())
-                .unwrap_or("<unknown>");
-            format!(
-                "{{\"spec\":{},\"threshold\":{},\"attempts\":{},\"error\":{}}}",
-                json_string(spec),
-                p.threshold,
-                p.attempts,
-                json_string(&p.error.to_string())
-            )
-        })
-        .collect();
-    let report = format!(
-        "{{\"jobs\":[{}],\"poisoned\":[{}],\"stats\":{}}}\n",
-        entries.join(","),
-        poisoned.join(","),
-        engine.stats().to_json()
-    );
+    let poisoned = engine.poisoned().into_iter().map(|p| {
+        let spec = lines
+            .iter()
+            .find(|l| l.source.as_deref().ok() == Some(&*p.source))
+            .map(|l| l.spec.as_str())
+            .unwrap_or("<unknown>");
+        Json::obj([
+            ("spec", Json::from(spec)),
+            ("threshold", p.threshold.into()),
+            ("attempts", u64::from(p.attempts).into()),
+            ("error", p.error.to_string().into()),
+        ])
+    });
+    let report = Json::obj([
+        ("jobs", Json::Arr(entries)),
+        ("poisoned", Json::Arr(poisoned.collect())),
+        ("stats", engine.stats().json()),
+    ]);
+    let report = format!("{report}\n");
     print!("{report}");
     if let (Some(path), Some(sink)) = (&trace_out, &sink) {
         write_chrome_trace(path, &sink.drain());

@@ -48,7 +48,7 @@
 use crate::opts::usage;
 use crate::serve::PROTO_VERSION;
 use fdi_core::jittered_backoff;
-use fdi_telemetry::json::{self, json_string, Json};
+use fdi_telemetry::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
@@ -123,13 +123,14 @@ pub fn main(mut args: Vec<String>) -> ExitCode {
     let mut deadline: Option<Duration> = None;
     let mut metrics_text = false;
     let request = match args.first().map(String::as_str) {
-        Some(op @ ("ping" | "stats" | "health" | "flight" | "shutdown")) if args.len() == 1 => {
-            format!("{{\"op\":\"{op}\"}}")
+        Some(op @ ("ping" | "stats" | "health" | "flight" | "shutdown" | "metrics"))
+            if args.len() == 1 =>
+        {
+            Json::obj([("op", Json::from(op))])
         }
-        Some("metrics") if args.len() == 1 => "{\"op\":\"metrics\"}".to_string(),
         Some("metrics") if args.len() == 2 && args[1] == "--metrics-text" => {
             metrics_text = true;
-            "{\"op\":\"metrics\",\"format\":\"text\"}".to_string()
+            Json::obj([("op", "metrics".into()), ("format", "text".into())])
         }
         Some("job") => {
             let mut deadline_ms: Option<u64> = None;
@@ -146,23 +147,22 @@ pub fn main(mut args: Vec<String>) -> ExitCode {
                     i += 1;
                 }
             }
-            let Some(spec) = rest.first() else {
+            let Some((spec, flags)) = rest.split_first() else {
                 return usage();
             };
-            let flags: Vec<String> = rest[1..].iter().map(|f| json_string(f)).collect();
             deadline = deadline_ms.map(Duration::from_millis);
-            let deadline_field = deadline_ms
-                .map(|ms| format!(",\"deadline_ms\":{ms}"))
-                .unwrap_or_default();
-            format!(
-                "{{\"op\":\"job\",\"spec\":{},\"flags\":[{}]{}}}",
-                json_string(spec),
-                flags.join(","),
-                deadline_field
-            )
+            let flags = flags.iter().map(|f| f.as_str().into()).collect();
+            let mut fields = vec![
+                ("op", Json::from("job")),
+                ("spec", spec.as_str().into()),
+                ("flags", Json::Arr(flags)),
+            ];
+            fields.extend(deadline_ms.map(|ms| ("deadline_ms", ms.into())));
+            Json::obj(fields)
         }
         _ => return usage(),
-    };
+    }
+    .to_string();
 
     // The retry loop. `request` is built exactly once above — every attempt
     // writes the same bytes, so retries are provably identical resubmissions.

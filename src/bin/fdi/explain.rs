@@ -17,6 +17,7 @@
 
 use crate::opts::Options;
 use fdi_core::DecisionTotals;
+use fdi_telemetry::json::Json;
 use std::process::ExitCode;
 
 pub fn main(opts: &Options) -> ExitCode {
@@ -51,22 +52,21 @@ pub fn main(opts: &Options) -> ExitCode {
     for d in &decisions {
         if opts.json {
             // Lead with the job's trace id (see the module docs), keeping
-            // the decision record's own keys untouched after it.
-            let json = format!("{{\"trace_id\":\"{trace_hex}\",{}", &d.to_json()[1..]);
-            match profile
+            // the decision record's own keys untouched after it, then the
+            // profile's measurements of the site, when it has any.
+            let Json::Obj(record) = d.json() else {
+                unreachable!("a decision record renders as an object")
+            };
+            let mut members = vec![("trace_id".to_string(), Json::from(trace_hex.as_str()))];
+            members.extend(record);
+            let site = profile
                 .as_ref()
-                .and_then(|p| p.sites.iter().find(|s| s.site == d.site_label))
-            {
-                // Splice the profile's measurements into the decision
-                // object: drop the closing brace, append, re-close.
-                Some(site) => println!(
-                    "{},\"calls\":{},\"benefit\":{}}}",
-                    &json[..json.len() - 1],
-                    site.calls,
-                    site.cost
-                ),
-                None => println!("{json}"),
+                .and_then(|p| p.sites.iter().find(|s| s.site == d.site_label));
+            if let Some(site) = site {
+                members.push(("calls".to_string(), site.calls.into()));
+                members.push(("benefit".to_string(), site.cost.into()));
             }
+            println!("{}", Json::Obj(members));
         } else {
             println!("{d}");
         }

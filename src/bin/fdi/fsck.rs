@@ -17,6 +17,7 @@
 //! pre-start gate for a daemon.
 
 use fdi_engine::fsck;
+use fdi_telemetry::json::Json;
 use std::process::ExitCode;
 
 pub fn main(args: Vec<String>) -> ExitCode {
@@ -51,18 +52,17 @@ pub fn main(args: Vec<String>) -> ExitCode {
             path.display()
         );
     }
-    println!(
-        "{{\"store\":{},\"scanned\":{},\"healthy\":{},\"corrupt\":{},\
-         \"orphaned_tmp\":{},\"repaired\":{},\"bytes\":{},\"unrepaired\":{}}}",
-        fdi_telemetry::json::json_string(&store),
-        report.scanned,
-        report.healthy,
-        report.corrupt,
-        report.orphaned_tmp,
-        report.repaired,
-        report.bytes,
-        report.unrepaired(),
-    );
+    let summary = Json::obj([
+        ("store", Json::from(store.as_str())),
+        ("scanned", report.scanned.into()),
+        ("healthy", report.healthy.into()),
+        ("corrupt", report.corrupt.into()),
+        ("orphaned_tmp", report.orphaned_tmp.into()),
+        ("repaired", report.repaired.into()),
+        ("bytes", report.bytes.into()),
+        ("unrepaired", report.unrepaired().into()),
+    ]);
+    println!("{summary}");
     if report.unrepaired() > 0 {
         ExitCode::FAILURE
     } else {

@@ -6,7 +6,7 @@
 //! fdi analyze  <file.scm> [--policy …]
 //! fdi explain  <file.scm> [--site LABEL] [--json] [-t THRESHOLD] [--policy …]
 //! fdi profile  <file.scm> [--entry EXPR] [-o FILE]
-//! fdi batch    <manifest> [--jobs N] [--out FILE] [--trace-out FILE]
+//! fdi batch    <manifest> [job-flags…] [--jobs N] [--out FILE] [--trace-out FILE]
 //! fdi report   [-t THRESHOLD] [--policy …] [--scale test|default]
 //!              [--metrics FILE|-]
 //! fdi serve    [--port N] [--port-file FILE] [--store DIR] [--jobs N]
@@ -49,9 +49,12 @@
 //! (`fdi-engine`) and emits one JSON report. Each manifest line is a job:
 //! a source — `path/to/file.scm` or `bench:<name>[@<scale>]` — followed by
 //! per-job flags (`-t`, `--policy`, `--unroll`, `--clref`, `--fuel`,
-//! `--deadline-ms`, `--max-growth`, `--passes`, `--size-budget`). Blank lines and `#`
-//! comments are skipped. Identical jobs dedup in flight, and jobs sharing a
-//! source or an analysis policy share artifacts through the engine's cache.
+//! `--deadline-ms`, `--max-growth`, `--passes`, `--size-budget`,
+//! `--validate`, `--oracle-fuel`, `--faults`). The same flags after the
+//! manifest path on the command line set every job's defaults. Blank lines
+//! and `#` comments are skipped. Identical jobs dedup in flight, and jobs
+//! sharing a source or an analysis policy share artifacts through the
+//! engine's cache.
 //!
 //! `--passes SCHEDULE` replaces the default pass schedule
 //! (`analyze,inline,simplify`) with a custom one: comma-separated pass

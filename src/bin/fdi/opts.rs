@@ -44,9 +44,8 @@ pub fn usage() -> ExitCode {
          [--strict] [--deadline-ms N] [--fuel N] [--max-growth X] \
          [--validate] [--oracle-fuel N] [--faults SEED]\n       \
          fdi profile <file.scm> [--entry EXPR] [-o FILE]\n       \
-         fdi batch <manifest> [--jobs N] [--out FILE] [--passes SCHEDULE] [--trace-out FILE] \
-         [--profile FILE] [--size-budget N] [--cache-bytes N] \
-         [--validate] [--oracle-fuel N] [--faults SEED] [--engine-faults SEED]\n       \
+         fdi batch <manifest> [job-flags…] [--jobs N] [--out FILE] [--trace-out FILE] \
+         [--profile FILE] [--cache-bytes N] [--engine-faults SEED]\n       \
          fdi report [-t THRESHOLD] [--policy 0cfa|poly|1cfa] [--scale test|default] [--jobs N] \
          [--metrics FILE|-]\n       \
          fdi serve [--port N] [--port-file FILE] [--store DIR] [--jobs N] [--max-inflight N] \

@@ -1,51 +1,49 @@
 //! The `fdi report` subcommand, plus rendering helpers shared by the other
-//! subcommands: JSON fragments for the batch report, the human-readable
-//! `--trace` table, and the Chrome-trace file writer behind `--trace-out`.
+//! subcommands: the job-result fields of the batch report and the serve
+//! reply, the human-readable `--trace` table, and the Chrome-trace file
+//! writer behind `--trace-out`.
 
 use crate::opts::{parse_policy, usage};
-use fdi_core::{DecisionTotals, PassTrace, PipelineHealth, PipelineOutput};
-use fdi_telemetry::json::json_string;
+use fdi_core::{DecisionTotals, PipelineOutput};
+use fdi_telemetry::json::Json;
 use fdi_telemetry::Event;
 use std::process::ExitCode;
 
-/// Renders a health ledger as a JSON array of degradation objects.
-pub fn health_json(health: &PipelineHealth) -> String {
-    let entries: Vec<String> = health
-        .degradations
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"phase\":\"{}\",\"error\":{},\"fallback\":{}}}",
-                d.phase,
-                json_string(&d.error.to_string()),
-                json_string(&d.fallback.to_string())
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(","))
-}
-
-/// Renders a run's per-pass traces as a JSON array, in run order.
-pub fn passes_json(passes: &[PassTrace]) -> String {
-    let entries: Vec<String> = passes
-        .iter()
-        .map(|t| {
-            format!(
-                concat!(
-                    "{{\"pass\":\"{}\",\"runs\":{},\"ms\":{:.3},\"fuel\":{},",
-                    "\"size_before\":{},\"size_after\":{},\"disposition\":\"{}\"}}"
-                ),
-                t.pass,
-                t.runs,
-                t.wall.as_secs_f64() * 1e3,
-                t.fuel,
-                t.size_before,
-                t.size_after,
-                t.disposition
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(","))
+/// The result fields of one finished job, in order: health flags, Table 1's
+/// size ratio and sizes, decision totals, fuel, the per-pass traces (run
+/// order) and the health ledger's degradations. The `fdi batch` report
+/// entry and the `fdi serve` job reply both carry exactly these.
+pub fn job_result(out: &PipelineOutput) -> [(&'static str, Json); 10] {
+    let passes = out.passes.iter().map(|t| {
+        Json::obj([
+            ("pass", Json::from(t.pass)),
+            ("runs", u64::from(t.runs).into()),
+            ("ms", (t.wall.as_secs_f64() * 1e3).into()),
+            ("fuel", t.fuel.into()),
+            ("size_before", t.size_before.into()),
+            ("size_after", t.size_after.into()),
+            ("disposition", t.disposition.to_string().into()),
+        ])
+    });
+    let health = out.health.degradations.iter().map(|d| {
+        Json::obj([
+            ("phase", Json::from(d.phase.to_string())),
+            ("error", d.error.to_string().into()),
+            ("fallback", d.fallback.to_string().into()),
+        ])
+    });
+    [
+        ("degraded", out.health.degraded().into()),
+        ("oracle_rejected", out.health.oracle_rejected().into()),
+        ("size_ratio", out.size_ratio().into()),
+        ("baseline_size", out.baseline_size.into()),
+        ("optimized_size", out.optimized_size.into()),
+        ("sites_inlined", out.report.sites_inlined.into()),
+        ("decisions", DecisionTotals::tally(&out.decisions).json()),
+        ("fuel_used", out.fuel_used.into()),
+        ("passes", Json::Arr(passes.collect())),
+        ("health", Json::Arr(health.collect())),
+    ]
 }
 
 /// Prints the `--trace` table on stderr: one line per executed pass.

@@ -90,10 +90,10 @@
 
 use crate::batch::{apply_job_flags, resolve_source};
 use crate::opts::usage;
-use crate::report::{health_json, passes_json};
+use crate::report::job_result;
 use fdi_core::{FaultPlan, PipelineConfig, Telemetry};
 use fdi_engine::{Engine, EngineConfig, Job};
-use fdi_telemetry::json::{self, json_string, Json};
+use fdi_telemetry::json::{self, Json};
 use fdi_telemetry::{FlightEntry, FlightRecorder};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -150,23 +150,37 @@ enum Reply {
     Shutdown(String),
 }
 
-fn err(kind: &str, message: &str, trace: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"proto\":{PROTO_VERSION},\"trace_id\":\"{trace}\",\
-         \"kind\":\"{kind}\",\"error\":{}}}",
-        json_string(message)
-    )
-}
-
-/// A successful control reply: the common envelope, then `fields`.
-fn reply<const N: usize>(op: &str, trace: &str, fields: [(&str, Json); N]) -> String {
-    let envelope = [
-        ("ok", true.into()),
+/// The envelope every reply shares — `ok`, `proto`, `trace_id` — then
+/// `fields`, as one line of JSON.
+fn envelope<'a>(
+    ok: bool,
+    trace: &str,
+    fields: impl IntoIterator<Item = (&'a str, Json)>,
+) -> String {
+    let head = [
+        ("ok", ok.into()),
         ("proto", PROTO_VERSION.into()),
         ("trace_id", trace.into()),
-        ("op", op.into()),
     ];
-    Json::obj(envelope.into_iter().chain(fields)).to_string()
+    Json::obj(head.into_iter().chain(fields)).to_string()
+}
+
+/// A successful reply: the envelope, `op`, then `fields`.
+fn reply<'a>(op: &str, trace: &str, fields: impl IntoIterator<Item = (&'a str, Json)>) -> String {
+    envelope(true, trace, [("op", op.into())].into_iter().chain(fields))
+}
+
+/// A typed failure: the envelope, `kind`, any `fields` (a retry hint, the
+/// deadline), then the `error` message.
+fn err<const N: usize>(
+    kind: &str,
+    message: &str,
+    trace: &str,
+    fields: [(&str, Json); N],
+) -> String {
+    let kind = [("kind", kind.into())];
+    let error = [("error", message.into())];
+    envelope(false, trace, kind.into_iter().chain(fields).chain(error))
 }
 
 /// `fdi serve [--port N] [--port-file FILE] [--store DIR] [--jobs N]
@@ -386,6 +400,7 @@ fn handle_request(server: &Arc<Server>, line: &str) -> Reply {
                 "bad-request",
                 &format!("malformed request: {e}"),
                 &line_trace,
+                [],
             ))
         }
     };
@@ -410,10 +425,10 @@ fn handle_request(server: &Arc<Server>, line: &str) -> Reply {
         )),
         Some("health") => Reply::Line(health_reply(server, &line_trace)),
         Some("metrics") => Reply::Line(metrics_reply(server, &req, &line_trace)),
-        Some("flight") => Reply::Line(format!(
-            "{{\"ok\":true,\"proto\":{PROTO_VERSION},\"trace_id\":\"{line_trace}\",\
-             \"op\":\"flight\",\"flight\":{}}}",
-            server.flight.to_json()
+        Some("flight") => Reply::Line(reply(
+            "flight",
+            &line_trace,
+            [("flight", server.flight.json())],
         )),
         Some("shutdown") => {
             server.draining.store(true, SeqCst);
@@ -439,8 +454,9 @@ fn handle_request(server: &Arc<Server>, line: &str) -> Reply {
             "bad-request",
             &format!("unknown op {other:?}"),
             &line_trace,
+            [],
         )),
-        None => Reply::Line(err("bad-request", "request has no \"op\"", &line_trace)),
+        None => Reply::Line(err("bad-request", "request has no \"op\"", &line_trace, [])),
     }
 }
 
@@ -541,6 +557,7 @@ fn metrics_reply(server: &Arc<Server>, req: &Json, trace: &str) -> String {
             "bad-request",
             &format!("unknown metrics format {other:?}"),
             trace,
+            [],
         ),
     }
 }
@@ -601,6 +618,7 @@ fn handle_job_inner(
                 "draining",
                 "server is shutting down; resubmit elsewhere",
                 line_trace,
+                [],
             ),
             "draining",
             "job",
@@ -612,11 +630,11 @@ fn handle_job_inner(
     if server.inflight.fetch_add(1, SeqCst) >= server.max_inflight {
         server.inflight.fetch_sub(1, SeqCst);
         return fallback(
-            format!(
-                "{{\"ok\":false,\"proto\":{PROTO_VERSION},\"trace_id\":\"{line_trace}\",\
-                 \"kind\":\"overloaded\",\"retry_after_ms\":100,\
-                 \"error\":\"{} jobs in flight; retry later\"}}",
-                server.max_inflight
+            err(
+                "overloaded",
+                &format!("{} jobs in flight; retry later", server.max_inflight),
+                line_trace,
+                [("retry_after_ms", 100u64.into())],
             ),
             "overloaded",
             "job",
@@ -633,7 +651,7 @@ fn handle_job_inner(
     ) {
         (Some(spec), None) => match resolve_source(spec) {
             Ok(src) => (spec.to_string(), src),
-            Err(e) => return fallback(err("bad-request", &e, line_trace), "bad-request", spec),
+            Err(e) => return fallback(err("bad-request", &e, line_trace, []), "bad-request", spec),
         },
         (None, Some(src)) => ("<inline>".to_string(), src.to_string()),
         _ => {
@@ -642,6 +660,7 @@ fn handle_job_inner(
                     "bad-request",
                     "need exactly one of \"spec\" or \"source\"",
                     line_trace,
+                    [],
                 ),
                 "bad-request",
                 "job",
@@ -661,6 +680,7 @@ fn handle_job_inner(
                         "bad-request",
                         "\"flags\" must be an array of strings",
                         line_trace,
+                        [],
                     ),
                     "bad-request",
                     &spec,
@@ -669,7 +689,7 @@ fn handle_job_inner(
         },
     };
     if let Err(e) = apply_job_flags(&mut config, &flags) {
-        return fallback(err("bad-request", &e, line_trace), "bad-request", &spec);
+        return fallback(err("bad-request", &e, line_trace, []), "bad-request", &spec);
     }
     let deadline = match req.get("deadline_ms").map(|d| d.as_num()) {
         None => server.deadline,
@@ -680,6 +700,7 @@ fn handle_job_inner(
                     "bad-request",
                     "\"deadline_ms\" must be a number",
                     line_trace,
+                    [],
                 ),
                 "bad-request",
                 &spec,
@@ -697,32 +718,29 @@ fn handle_job_inner(
         (reply, outcome, t, spec.clone())
     };
     let job = Job::new(source.as_str(), config).with_trace(trace);
-    let head = format!(
-        "{{\"ok\":true,\"proto\":{PROTO_VERSION},\"trace_id\":\"{trace_hex}\",\
-         \"op\":\"job\",\"spec\":{},\"threshold\":{}",
-        json_string(&spec),
-        config.threshold
-    );
+    let head = |cached: bool| {
+        [
+            ("spec", Json::from(spec.as_str())),
+            ("threshold", config.threshold.into()),
+            ("cached", cached.into()),
+        ]
+    };
 
     // Warm path: answer straight from the disk store, no recomputation.
     if let Some(stored) = server.engine.lookup_stored(&job) {
+        let result = [
+            ("degraded", false.into()),
+            ("oracle_rejected", false.into()),
+            ("size_ratio", stored.size_ratio().into()),
+            ("baseline_size", stored.baseline_size.into()),
+            ("optimized_size", stored.optimized_size.into()),
+            ("sites_inlined", stored.sites_inlined.into()),
+            ("decisions", stored.decisions.json()),
+            ("fuel_used", stored.fuel_used.into()),
+            ("optimized", stored.optimized.into()),
+        ];
         return done(
-            format!(
-                concat!(
-                    "{},\"cached\":true,\"degraded\":false,\"oracle_rejected\":false,",
-                    "\"size_ratio\":{:.6},\"baseline_size\":{},\"optimized_size\":{},",
-                    "\"sites_inlined\":{},\"decisions\":{},\"fuel_used\":{},",
-                    "\"optimized\":{}}}"
-                ),
-                head,
-                stored.size_ratio(),
-                stored.baseline_size,
-                stored.optimized_size,
-                stored.sites_inlined,
-                stored.decisions.to_json(),
-                stored.fuel_used,
-                json_string(&stored.optimized),
-            ),
+            reply("job", &trace_hex, head(true).into_iter().chain(result)),
             "cached",
         );
     }
@@ -740,40 +758,25 @@ fn handle_job_inner(
             watcher_server.inflight.fetch_sub(1, SeqCst);
         });
         return done(
-            format!(
-                "{{\"ok\":false,\"proto\":{PROTO_VERSION},\"trace_id\":\"{trace_hex}\",\
-                 \"kind\":\"timeout\",\"deadline_ms\":{},\
-                 \"error\":\"job exceeded its deadline; it keeps running and will warm the cache\"}}",
-                deadline.as_millis()
+            err(
+                "timeout",
+                "job exceeded its deadline; it keeps running and will warm the cache",
+                &trace_hex,
+                [("deadline_ms", (deadline.as_millis() as u64).into())],
             ),
             "timeout",
         );
     };
     drop(slot);
     match result {
-        Err(e) => done(err("failed", &e.to_string(), &trace_hex), "failed"),
-        Ok(out) => done(
-            format!(
-                concat!(
-                    "{},\"cached\":false,\"degraded\":{},\"oracle_rejected\":{},",
-                    "\"size_ratio\":{:.6},\"baseline_size\":{},\"optimized_size\":{},",
-                    "\"sites_inlined\":{},\"decisions\":{},\"fuel_used\":{},",
-                    "\"passes\":{},\"health\":{},\"optimized\":{}}}"
-                ),
-                head,
-                out.health.degraded(),
-                out.health.oracle_rejected(),
-                out.size_ratio(),
-                out.baseline_size,
-                out.optimized_size,
-                out.report.sites_inlined,
-                fdi_telemetry::DecisionTotals::tally(&out.decisions).to_json(),
-                out.fuel_used,
-                passes_json(&out.passes),
-                health_json(&out.health),
-                json_string(&fdi_lang::unparse(&out.optimized).to_string()),
-            ),
-            "ok",
-        ),
+        Err(e) => done(err("failed", &e.to_string(), &trace_hex, []), "failed"),
+        Ok(out) => {
+            let optimized = fdi_lang::unparse(&out.optimized).to_string();
+            let fields = head(false)
+                .into_iter()
+                .chain(job_result(&out))
+                .chain([("optimized", optimized.into())]);
+            done(reply("job", &trace_hex, fields), "ok")
+        }
     }
 }

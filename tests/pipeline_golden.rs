@@ -149,7 +149,7 @@ fn measure(out: &PipelineOutput, from_source: bool, cached: bool, case: &str) ->
             )
         })
         .collect();
-    let rendered: Vec<String> = out.decisions.iter().map(|d| d.to_json()).collect();
+    let rendered: Vec<String> = out.decisions.iter().map(|d| d.json().to_string()).collect();
     Measured {
         text: fnv(&fdi_sexpr::pretty(&fdi_lang::unparse(&out.optimized))),
         baseline_size: out.baseline_size,

@@ -167,6 +167,50 @@ fn stale_profile_falls_back_to_the_static_result() {
     );
 }
 
+#[test]
+fn explain_json_carries_each_profiled_sites_measurements() {
+    let dir = temp_dir("explain");
+    let src_path = dir.join("bench.scm");
+    std::fs::write(&src_path, bench_source()).unwrap();
+    let src = src_path.to_str().unwrap();
+    let prof = dir.join("bench.fdiprof");
+    stdout_of(&fdi(&["profile", src, "-o", prof.to_str().unwrap()]));
+    let profile = fdi_profile::Profile::load(&prof).expect("artifact loads");
+
+    let explained = stdout_of(&fdi(&[
+        "explain",
+        src,
+        "--json",
+        "-t",
+        "200",
+        "--profile",
+        prof.to_str().unwrap(),
+    ]));
+    let (mut lines, mut measured) = (0, 0);
+    let mut trace_ids = std::collections::BTreeSet::new();
+    for line in explained.lines() {
+        let doc = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let members = doc.as_obj().expect("one object per line");
+        assert_eq!(members[0].0, "trace_id", "{line}");
+        trace_ids.insert(members[0].1.as_str().expect("string id").to_string());
+        let site = doc.get("site").and_then(Json::as_str).expect("site label");
+        let num = |key: &str| doc.get(key).and_then(Json::as_num);
+        match profile.sites.iter().find(|s| s.site == site) {
+            Some(row) => {
+                assert_eq!(num("calls"), Some(row.calls as f64), "{line}");
+                assert_eq!(num("benefit"), Some(row.cost as f64), "{line}");
+                measured += 1;
+            }
+            None => assert!(num("calls").is_none() && num("benefit").is_none(), "{line}"),
+        }
+        lines += 1;
+    }
+    assert!(lines > 0, "explain printed decisions");
+    assert!(measured > 0, "some decided site was profiled");
+    assert_eq!(trace_ids.len(), 1, "one job, one trace id: {trace_ids:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 struct Daemon {
     child: Child,
     port: u16,

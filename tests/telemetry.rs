@@ -226,7 +226,8 @@ fn engine_stats_aggregate_decisions() {
     assert_eq!(stats.decisions.inlined(), 2);
     assert_eq!(stats.decisions.get("open_procedure"), 1);
     assert!(stats
-        .to_json()
+        .json()
+        .to_string()
         .contains("\"telemetry\":{\"decisions\":{\"inlined\":2,"));
 }
 
